@@ -5,7 +5,7 @@ Two independent routes are computed and cross-checked:
 * chart route — for each of the d+1 torus-fixed charts, the affine
   semigroup is smooth iff its unique minimal generating set has exactly
   rank-many elements;
-* membership route — closed-form criteria on which vectors of the form
+* generator route — closed-form criteria on which vectors of the form
   (D-1)e_i + e_j and e*e_k + (D-e)e_j appear among the homogenized
   generators.
 
@@ -41,7 +41,7 @@ class AffineChart:
     def __init__(self, A: GeneratorSet, index: int):
         d = A.d
         self.index = index
-        B = homogenize(A).points
+        B = homogenize(A)
         axes = {_hunit(d + 1, j, A.D) for j in range(d + 1)}
         gens = {unit(d, j, A.D) for j in range(d)}
         for b in B:
@@ -51,17 +51,32 @@ class AffineChart:
         self._member_cache: dict[Point, bool] = {(0,) * d: True}
 
     def _member(self, v: Point) -> bool:
-        """Is v in the semigroup generated by the chart generators?"""
-        cached = self._member_cache.get(v)
-        if cached is not None:
-            return cached
-        self._member_cache[v] = False  # guard against re-entry
-        ok = any(
-            all(h <= x for h, x in zip(g, v))
-            and self._member(tuple(x - h for h, x in zip(g, v)))
-            for g in self.generators if any(g))
-        self._member_cache[v] = ok
-        return ok
+        """Is v in the semigroup generated by the chart generators?
+
+        Depth-first search on v - g over the nonzero generators g, with an
+        explicit stack: a vector waiting on an unknown w - g is scanned
+        again once that answer is in the memo.
+        """
+        memo = self._member_cache
+        stack = [v]
+        while stack:
+            w = stack[-1]
+            if w in memo:
+                stack.pop()
+                continue
+            for g in self.generators:
+                if any(g) and all(h <= x for h, x in zip(g, w)):
+                    u = tuple(x - h for h, x in zip(g, w))
+                    known = memo.get(u)
+                    if known is None:
+                        stack.append(u)
+                        break
+                    if known:
+                        memo[w] = True
+                        break
+            else:
+                memo[w] = False
+        return memo[v]
 
     def minimal_generators(self) -> tuple[Point, ...]:
         """The unique minimal generating set of the chart semigroup."""
@@ -113,7 +128,7 @@ class ClassificationReport:
 
 def _check_primitive(A: GeneratorSet) -> None:
     g = 0
-    for b in homogenize(A).points:
+    for b in homogenize(A):
         for c in b:
             g = gcd(g, c)
     if g > 1:
@@ -128,11 +143,11 @@ def _smooth_required(d1: int, D: int) -> list[Point]:
             for i in range(d1) for j in range(d1) if i != j]
 
 
-def _membership_verdict(A: GeneratorSet):
-    """(verdict, e, vertex, certificates) from set membership alone."""
+def _generator_verdict(A: GeneratorSet):
+    """(verdict, e, vertex, certificates) from the generators alone."""
     d1 = A.d + 1
     D = A.D
-    B = set(homogenize(A).points)
+    B = set(homogenize(A))
 
     required = _smooth_required(d1, D)
     if all(v in B for v in required):
@@ -167,23 +182,23 @@ def _membership_verdict(A: GeneratorSet):
 
 
 def classify(A: GeneratorSet) -> ClassificationReport:
-    """Full classification with chart/membership cross-validation."""
+    """Full classification with chart/generator cross-validation."""
     _check_primitive(A)
-    verdict, e, vertex, certs = _membership_verdict(A)
+    verdict, e, vertex, certs = _generator_verdict(A)
 
     non_smooth = [i for i in range(A.d + 1)
                   if not is_chart_smooth(AffineChart(A, i))]
     if verdict == SMOOTH and non_smooth:
         raise CertificationError(
-            f"membership criterion says smooth but charts {non_smooth} "
+            f"generator criterion says smooth but charts {non_smooth} "
             f"are singular")
     if verdict == ONE_SINGULAR and non_smooth != [vertex]:
         raise CertificationError(
-            f"membership criterion names vertex {vertex} but non-smooth "
+            f"generator criterion names vertex {vertex} but non-smooth "
             f"charts are {non_smooth}")
     if verdict == OTHER and len(non_smooth) <= 1:
         raise CertificationError(
-            f"membership criterion says neither smooth nor one-singular "
+            f"generator criterion says neither smooth nor one-singular "
             f"but non-smooth charts are {non_smooth}")
 
     report = ClassificationReport(verdict, e, vertex, certs)
@@ -203,7 +218,7 @@ def reduce_e_equals_D(A: GeneratorSet, vertex: int = 0) -> Optional[GeneratorSet
     """
     d1 = A.d + 1
     D = A.D
-    B = [list(b) for b in homogenize(A).points]
+    B = [list(b) for b in homogenize(A)]
     for b in B:
         b[0], b[vertex] = b[vertex], b[0]
     vertex_gen = [D] + [0] * A.d

@@ -1,9 +1,10 @@
 """Command-line front end: instance I/O, analysis pipeline, generators,
 and SVG plots of planar sumsets.
 
-Exit codes: 0 success; 1 I/O, validation, or internal-certification
-errors; 2 instance outside the certified families (or over the
-resource cap).  All JSON documents carry schema "toric-reg/1".
+Exit codes: 0 success; 1 I/O, validation, internal-certification or
+recursion-depth errors; 2 instance outside the certified families, over
+the resource cap, or out of memory.  All JSON documents carry schema
+"toric-reg/1".
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def analysis_bundle(A: GeneratorSet, field, cutoff: Optional[int]) -> dict:
     return bundle
 
 
+def _colex(points) -> list[tuple[int, ...]]:
+    """Rows of an int array as tuples, last coordinate most significant."""
+    return sorted(map(tuple, points.tolist()), key=lambda p: p[::-1])
+
+
 def plot_svg(A: GeneratorSet, s: int) -> str:
     """Filled circles for sA, hollow squares for the rest of the slice."""
     if A.d != 2:
@@ -99,7 +105,7 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
            f'viewBox="0 0 {size} {size}">',
            f'<text x="{margin}" y="16" font-size="12">'
            f's={s}, |sA|={lvl.cardinality}, slice={lvl.slice.size}</text>']
-    for p in [lvl.slice.unrank(i) for i in range(lvl.slice.size)]:
+    for p in _colex(lvl.slice.points_array()):
         x, y = xy(p)
         if p in members:
             out.append(f'<circle cx="{x}" cy="{y}" r="{r}" fill="black"/>')
@@ -241,7 +247,7 @@ def _dispatch(args) -> int:
         lvl = A.level(args.s)
         doc = {"s": args.s, "count": lvl.cardinality}
         if not args.count:
-            doc["points"] = [list(map(int, p)) for p in lvl.points]
+            doc["points"] = [list(p) for p in _colex(lvl.points)]
         _emit(doc)
     elif args.command == "hilbert":
         _emit({"values": hilbert_function(A, args.s_max)})
@@ -268,11 +274,12 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return _dispatch(args)
-    except (UnsupportedInstanceError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UnsupportedInstanceError, ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    except (ToricRegError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ToricRegError, OSError, json.JSONDecodeError, ValueError,
+            RecursionError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -9,6 +9,7 @@ drives the regularity formula; the empty face is kept as the single
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -24,9 +25,9 @@ FieldTag = Union[str, int]  # "q" or a prime
 def semigroup_member(A: GeneratorSet, y: Sequence[int]) -> bool:
     """Is y (in N^{d+1}) an N-combination of the homogenized generators?
 
-    Every generator has norm D, so membership reduces to a single sumset
-    level: y in S_A iff D | |y| and the dehomogenized part lies in sA
-    for s = |y|/D.
+    Every generator has norm D, so the question reduces to a single
+    sumset level: y in S_A iff D | |y| and the dehomogenized part lies
+    in sA for s = |y|/D.
     """
     y = tuple(int(c) for c in y)
     if len(y) != A.d + 1:
@@ -46,14 +47,6 @@ class FaceComplex:
     y: Point
     n_vertices: int  # d + 1 candidate vertices
     faces: frozenset[int]  # bitmasks; 0 is the empty face
-
-    @property
-    def vertex_mask(self) -> int:
-        mask = 0
-        for f in self.faces:
-            if f and not (f & (f - 1)):
-                mask |= f
-        return mask
 
     def face_list(self) -> list[tuple[int, ...]]:
         out = []
@@ -110,39 +103,41 @@ def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
     return M
 
 
-_homology_cache: dict[tuple, tuple] = {}
+#: Distinct (faces, n_vertices, field) keys whose Betti numbers are kept.
+HOMOLOGY_CACHE_SIZE = 4096
 
 
 def betti_numbers(faces: frozenset[int], n_vertices: int,
                   field: FieldTag = "q") -> dict[int, int]:
     """Reduced Betti numbers of a face family, exact over Q or F_p."""
-    key = (faces, n_vertices, field)
-    cached = _homology_cache.get(key)
-    if cached is None:
-        by_dim: dict[int, list[int]] = {}
-        for f in faces:
-            by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
-        for cells in by_dim.values():
-            cells.sort()
-        rank = bareiss_rank if field == "q" else (
-            lambda M: rank_mod_p(M, field))
-        top = max(by_dim, default=-1)
-        ranks = {}  # i -> rank of boundary C_i -> C_{i-1}
-        for i in range(0, top + 1):
-            M = _boundary_matrix(by_dim.get(i - 1, []), by_dim.get(i, []))
-            ranks[i] = rank(M) if M and M[0] else 0
-        betti = {}
-        for i in range(-1, n_vertices):
-            betti[i] = (len(by_dim.get(i, ()))
-                        - ranks.get(i, 0) - ranks.get(i + 1, 0))
-        assert all(b >= 0 for b in betti.values())
-        # reduced Euler characteristic must match the alternating face count
-        chi_faces = sum((-1) ** (bin(f).count("1") - 1) for f in faces)
-        chi_betti = sum((-1) ** i * b for i, b in betti.items())
-        assert chi_faces == chi_betti, (chi_faces, chi_betti)
-        cached = tuple(sorted(betti.items()))
-        _homology_cache[key] = cached
-    return dict(cached)
+    return dict(_betti_numbers(faces, n_vertices, field))
+
+
+@functools.lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
+def _betti_numbers(faces: frozenset[int], n_vertices: int,
+                   field: FieldTag) -> tuple[tuple[int, int], ...]:
+    by_dim: dict[int, list[int]] = {}
+    for f in faces:
+        by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
+    for cells in by_dim.values():
+        cells.sort()
+    rank = bareiss_rank if field == "q" else (
+        lambda M: rank_mod_p(M, field))
+    top = max(by_dim, default=-1)
+    ranks = {}  # i -> rank of boundary C_i -> C_{i-1}
+    for i in range(0, top + 1):
+        M = _boundary_matrix(by_dim.get(i - 1, []), by_dim.get(i, []))
+        ranks[i] = rank(M) if M and M[0] else 0
+    betti = {}
+    for i in range(-1, n_vertices):
+        betti[i] = (len(by_dim.get(i, ()))
+                    - ranks.get(i, 0) - ranks.get(i + 1, 0))
+    assert all(b >= 0 for b in betti.values())
+    # reduced Euler characteristic must match the alternating face count
+    chi_faces = sum((-1) ** (bin(f).count("1") - 1) for f in faces)
+    chi_betti = sum((-1) ** i * b for i, b in betti.items())
+    assert chi_faces == chi_betti, (chi_faces, chi_betti)
+    return tuple(sorted(betti.items()))
 
 
 def reduced_homology(complex_: FaceComplex,
@@ -162,26 +157,17 @@ def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarr
     d, D = A.d, A.D
     if d + 1 > 6:
         raise PreconditionError("face tables support at most 6 vertices")
-    lvl = A.level(s)
-    pts = lvl.points.astype(np.int64)
-    n = pts.shape[0]
-    tables = np.zeros(n, dtype=np.int64)
+    pts = A.level(s).points
+    tables = np.zeros(pts.shape[0], dtype=np.int64)
     for mask in range(1 << (d + 1)):
         k = bin(mask).count("1")
         if k > s:
             continue
-        k0 = mask & 1
+        # y - sum_F D*e_j lies at level s - k; its homogenizing coordinate
+        # stays >= 0 exactly when the shifted point is in slice(s - k)
         v = np.array([D if mask >> (j + 1) & 1 else 0 for j in range(d)],
                      dtype=np.int64)
-        shifted = pts - v
-        norms = shifted.sum(axis=1)
-        sub = A.level(s - k)
-        ok = ((shifted >= 0).all(axis=1)
-              & (pts.sum(axis=1) <= (s - k0) * D)
-              & (norms <= sub.slice.N))
-        if ok.any():
-            ranks = sub.slice.rank_array(shifted[ok], validate=False)
-            ok[ok] = sub.membership[ranks]
+        ok = A.level(s - k).contains_array(pts - v)
         tables |= ok.astype(np.int64) << mask
     return pts, tables
 

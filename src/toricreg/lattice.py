@@ -2,17 +2,18 @@
 
 Points are plain tuples of nonnegative ints.  A ``SimplexSlice`` is the set
 of lattice points of bounded coordinate sum (optionally restricted to sums
-divisible by ``e``) together with a colexicographic rank/unrank bijection;
-sumset levels are stored as dense bit indicators over the slice, keyed by
-that rank.
+divisible by ``e``), ranked by norm first and colexicographically inside a
+norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
+rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
+engine: it records for each rank the first level s with the point in sA,
+and its ``SumsetLevel`` objects are views of that record.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from math import comb, gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,9 @@ Point = tuple[int, ...]
 #: Default cap on the number of lattice points a single slice may hold.
 DEFAULT_MAX_SLICE_SIZE = 2**27
 
+#: First-appearance level of a rank that no level built so far contains.
+_UNSEEN = np.iinfo(np.int32).max
+
 
 def norm(point: Sequence[int]) -> int:
     """Coordinate sum |y| of a lattice point."""
@@ -39,11 +43,26 @@ def unit(d: int, i: int, scale: int = 1) -> Point:
     return tuple(scale if j == i else 0 for j in range(d))
 
 
+def slice_size(d: int, N: int, e: int = 1) -> int:
+    """#{y in N^d : |y| <= N, e | |y|} in closed form.
+
+    The count is a polynomial of degree d in K = N // e, so Newton's
+    forward-difference formula through K = 0..d gives it exactly.
+    """
+    diffs = list(itertools.accumulate(
+        comb(k * e + d - 1, d - 1) for k in range(d + 1)))
+    total = 0
+    for j in range(d + 1):
+        total += diffs[0] * comb(N // e, j)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
 class SimplexSlice:
     """Lattice points y in N^d with |y| <= s*D and e | |y|.
 
-    Provides a rank/unrank bijection onto [0, size) that embeds the
-    colexicographic order (last coordinate most significant).
+    Ranks them onto [0, size) by norm first and then colexicographically
+    (last coordinate most significant) inside a norm layer.
     """
 
     def __init__(self, d: int, D: int, s: int, e: int = 1,
@@ -55,35 +74,28 @@ class SimplexSlice:
         self.s = s
         self.e = e
         self.N = s * D
-        self._build_tables()
-        self.size = int(self._cnt[d][self.N, 0])
+        self.size = slice_size(d, self.N, e)
         if self.size > max_size:
             raise ResourceLimitError(
                 f"slice d={d} D={D} s={s} e={e} holds {self.size} points "
                 f"(cap {max_size})")
+        self._build_tables()
 
     def _build_tables(self) -> None:
-        d, N, e = self.d, self.N, self.e
-        # cnt[k][M, r] = #{z in N^k : |z| <= M, |z| = r (mod e)}
-        cnt = [np.zeros((N + 1, e), dtype=np.int64) for _ in range(d + 1)]
-        cnt[0][:, 0] = 1
-        for k in range(1, d + 1):
-            layer = np.zeros((N + 1, e), dtype=np.int64)
-            for M in range(N + 1):
-                if M > 0:
-                    layer[M] = layer[M - 1]
-                layer[M, M % e] += comb(M + k - 1, k - 1)
-            cnt[k] = layer
-        self._cnt = cnt
-        # Qp[k][X+1] = sum_{m=0..X} cnt[k][m, (m-N) mod e]  (Qp[k][0] = 0)
-        Qp = np.zeros((d, N + 2), dtype=np.int64)
-        for k in range(d):
-            ms = np.arange(N + 1)
-            vals = cnt[k][ms, (ms - N) % e]
-            Qp[k, 1:] = np.cumsum(vals)
-        self._Qp = Qp
+        d, N = self.d, self.N
+        # layer[x] = C(x + c - 1, c - 1) = #{z in N^c : |z| = x}, and
+        # _below[c - 1][x] = C(x + c - 1, c) = #{z in N^c : |z| < x}
+        layer = np.ones(N + 1, dtype=np.int64)
+        self._below = np.empty((d - 1, N + 1), dtype=np.int64)
+        for c in range(d - 1):
+            upto = np.cumsum(layer)
+            self._below[c] = upto - layer
+            layer = upto
+        layer[np.arange(N + 1) % self.e > 0] = 0
+        # _last[n] = rank of the last slice point of norm <= n
+        self._last = np.cumsum(layer) - 1
 
-    # -- membership -----------------------------------------------------
+    # -- containment ----------------------------------------------------
 
     def contains(self, point: Sequence[int]) -> bool:
         return (len(point) == self.d
@@ -91,7 +103,7 @@ class SimplexSlice:
                 and sum(point) <= self.N
                 and sum(point) % self.e == 0)
 
-    # -- rank / unrank --------------------------------------------------
+    # -- rank -----------------------------------------------------------
 
     def rank(self, point: Sequence[int]) -> int:
         if not self.contains(point):
@@ -101,7 +113,11 @@ class SimplexSlice:
         return int(self.rank_array(arr, validate=False)[0])
 
     def rank_array(self, points: np.ndarray, validate: bool = True) -> np.ndarray:
-        """Vectorized rank of an (n, d) array of slice points."""
+        """Vectorized rank of an (n, d) array of slice points.
+
+        Inside the layer of norm n, the points colex-after z are counted
+        by prefix sums: sum over c of #{w in N^c : |w| < z_0 + ... + z_(c-1)}.
+        """
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise OutOfDomainError(f"expected shape (n, {self.d})")
@@ -109,34 +125,11 @@ class SimplexSlice:
             norms = pts.sum(axis=1)
             if (pts < 0).any() or (norms > self.N).any() or (norms % self.e).any():
                 raise OutOfDomainError("point outside slice")
-        n = pts.shape[0]
-        ranks = np.zeros(n, dtype=np.int64)
-        suf = np.zeros(n, dtype=np.int64)  # suffix sum over columns > c
-        for c in range(self.d - 1, -1, -1):
-            suf_incl = suf + pts[:, c]
-            ranks += self._Qp[c, self.N - suf + 1] - self._Qp[c, self.N - suf_incl + 1]
-            suf = suf_incl
+        prefix = np.cumsum(pts, axis=1)
+        ranks = self._last[prefix[:, -1]]
+        for c in range(self.d - 1):
+            ranks -= self._below[c][prefix[:, c]]
         return ranks
-
-    def unrank(self, index: int) -> Point:
-        if not 0 <= index < self.size:
-            raise OutOfDomainError(f"rank {index} outside [0, {self.size})")
-        i = index
-        coords = [0] * self.d
-        budget = self.N
-        res = 0  # required residue (mod e) of the remaining coordinate sum
-        for j in range(self.d, 0, -1):
-            t = 0
-            while True:
-                c = int(self._cnt[j - 1][budget - t, (res - t) % self.e])
-                if i < c:
-                    break
-                i -= c
-                t += 1
-            coords[j - 1] = t
-            budget -= t
-            res = (res - t) % self.e
-        return tuple(coords)
 
     def points_array(self) -> np.ndarray:
         """All slice points as an (size, d) int array, sorted by rank."""
@@ -153,23 +146,21 @@ class SimplexSlice:
 
 
 class SumsetLevel:
-    """Indicator of the s-fold sumset sA inside its simplex slice."""
+    """The s-fold sumset sA inside slice(s), as a view of its generator
+    set: y is in sA iff the first level holding y is at most s."""
 
-    def __init__(self, s: int, slice_: SimplexSlice,
-                 membership: np.ndarray, points: np.ndarray):
+    def __init__(self, A: GeneratorSet, s: int):
+        self._A = A
         self.s = s
-        self.slice = slice_
-        self.membership = membership
-        self.points = points  # (cardinality, d), sorted by rank
-        self.cardinality = int(points.shape[0])
+        self.slice = A.slice(s)
+        self.cardinality = sum(len(new) for new in A._new[:s + 1])
 
     def contains(self, point: Sequence[int]) -> bool:
-        if not self.slice.contains(point):
-            return False
-        return bool(self.membership[self.slice.rank(point)])
+        return (self.slice.contains(point)
+                and bool(self._A._first[self.slice.rank(point)] <= self.s))
 
     def contains_array(self, points: np.ndarray) -> np.ndarray:
-        """Membership of candidate points; points outside the slice are False."""
+        """Which candidate points lie in sA (False outside the slice)."""
         pts = np.asarray(points, dtype=np.int64)
         out = np.zeros(pts.shape[0], dtype=bool)
         norms = pts.sum(axis=1)
@@ -177,11 +168,16 @@ class SumsetLevel:
               & (norms % self.slice.e == 0))
         if ok.any():
             ranks = self.slice.rank_array(pts[ok], validate=False)
-            out[ok] = self.membership[ranks]
+            out[ok] = self._A._first[ranks] <= self.s
         return out
 
+    @property
+    def points(self) -> np.ndarray:
+        """(cardinality, d) array of sA, grouped by first level."""
+        return np.concatenate(self._A._new[:self.s + 1])
+
     def point_set(self) -> set[Point]:
-        return {tuple(int(c) for c in row) for row in self.points}
+        return set(map(tuple, self.points.tolist()))
 
 
 class GeneratorSet:
@@ -189,7 +185,9 @@ class GeneratorSet:
     instance for every downstream computation.
 
     D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).
-    Sumset levels are cached append-only on the instance.
+    Sumset levels are built on demand and kept: ``_first[r]`` is the first
+    level holding the point of rank r, and ``_new[s]`` the points of
+    sA \\ (s-1)A.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],
@@ -226,23 +224,16 @@ class GeneratorSet:
                     f"generator set must contain {self.D}*e_{i + 1}")
         self.e = gcd(self.D, *(norm(p) for p in self.points if norm(p)))
         self.max_slice_size = max_slice_size
-        self._arr = np.array(self.points, dtype=np.int64)
         self._levels: list[SumsetLevel] = []
         self._slices: dict[int, SimplexSlice] = {}
+        self._first = np.zeros(0, dtype=np.int32)
+        self._new: list[np.ndarray] = []
 
     # -- derived data ---------------------------------------------------
 
     @property
     def n_plus_1(self) -> int:
         return len(self.points)
-
-    @property
-    def contains_origin(self) -> bool:
-        return True  # validated at construction
-
-    @property
-    def contains_axis_tops(self) -> bool:
-        return True  # validated at construction
 
     def slice(self, s: int) -> SimplexSlice:
         if s not in self._slices:
@@ -260,20 +251,24 @@ class GeneratorSet:
         return self._levels[s]
 
     def _next_level(self) -> SumsetLevel:
+        """Builds level s from the points F new at level s - 1: as 0 is
+        in A, sA = (s-1)A + A = (s-1)A | (F + A)."""
         s = len(self._levels)
         sl = self.slice(s)
         if s == 0:
-            pts = np.zeros((1, self.d), dtype=np.int64)
+            cand = np.zeros((1, self.d), dtype=np.int64)
         else:
-            prev = self._levels[s - 1]
-            cand = (prev.points[:, None, :] + self._arr[None, :, :])
-            pts = cand.reshape(-1, self.d)
-        ranks = sl.rank_array(pts, validate=False)
-        uniq, first = np.unique(ranks, return_index=True)
-        pts = pts[first]
-        membership = np.zeros(sl.size, dtype=bool)
-        membership[uniq] = True
-        return SumsetLevel(s, sl, membership, pts)
+            gens = np.array([p for p in self.points if any(p)], dtype=np.int64)
+            cand = (self._new[-1][:, None, :] + gens[None, :, :]).reshape(-1, self.d)
+        first = np.full(sl.size, _UNSEEN, dtype=np.int32)
+        first[:len(self._first)] = self._first
+        ranks = sl.rank_array(cand, validate=False)
+        fresh = first[ranks] == _UNSEEN
+        uniq, index = np.unique(ranks[fresh], return_index=True)
+        first[uniq] = s
+        self._first = first
+        self._new.append(cand[fresh][index])
+        return SumsetLevel(self, s)
 
     def __repr__(self) -> str:
         return (f"GeneratorSet(d={self.d}, D={self.D}, e={self.e}, "
@@ -287,32 +282,9 @@ class GeneratorSet:
         return hash((self.d, self.points))
 
 
-class HomogenizedGeneratorSet:
-    """Image of A under a -> (D - |a|, a); every point has norm exactly D."""
-
-    def __init__(self, parent: GeneratorSet):
-        self.parent = parent
-        D = parent.D
-        self.points: tuple[Point, ...] = tuple(
-            (D - norm(a),) + a for a in parent.points)
-        assert all(norm(b) == D for b in self.points)
-
-    @property
-    def d(self) -> int:
-        return self.parent.d + 1
-
-
-def homogenize(A: GeneratorSet) -> HomogenizedGeneratorSet:
-    """Lift A to the norm-D hyperplane of N^(d+1)."""
-    return HomogenizedGeneratorSet(A)
-
-
-def sumset_level(A: GeneratorSet, s: int,
-                 prev: Optional[SumsetLevel] = None) -> SumsetLevel:
-    """Exact indicator of sA (incremental from prev when supplied)."""
-    if prev is not None and prev.s != s - 1:
-        raise PreconditionError(f"prev has level {prev.s}, expected {s - 1}")
-    return A.level(s)
+def homogenize(A: GeneratorSet) -> tuple[Point, ...]:
+    """Lift A to the norm-D hyperplane of N^(d+1): a -> (D - |a|, a)."""
+    return tuple((A.D - norm(a),) + a for a in A.points)
 
 
 def hilbert_function(A: GeneratorSet, s_max: int) -> list[int]:
@@ -342,7 +314,7 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
     hi = SimplexSlice(d, D, s + 1, e, max_slice_size)
     pts = lo.points_array().astype(np.int64)
     covered = np.zeros(hi.size, dtype=bool)
-    covered[hi.rank_array(pts, validate=False)] = True
+    covered[:lo.size] = True  # slice(s) is a prefix of slice(s+1)
     for i in range(d):
         shifted = pts.copy()
         shifted[:, i] += D

@@ -1,7 +1,7 @@
 """Brute-force reference implementations for the test suite.
 
 These deliberately share nothing with the main pipeline beyond plain
-tuples: sumsets by multiset enumeration, semigroup membership by
+tuples: sumsets by multiset enumeration, semigroup elements by
 dynamic programming, and homology by an independent modular Gaussian
 elimination on explicitly listed faces.
 """

@@ -62,7 +62,7 @@ def degree(A: GeneratorSet,
     improves to D*e and the result is cross-checked against D^d / e.
     """
     d, D = A.d, A.D
-    cols = sorted(homogenize(A).points,
+    cols = sorted(homogenize(A),
                   key=lambda b: (max(b) != D, b))
     M = [[b[i] for b in cols] for i in range(d + 1)]
     floor = D

@@ -86,7 +86,7 @@ def normalize_singular_vertex(A: GeneratorSet, report: ClassificationReport):
     if report.verdict != ONE_SINGULAR or k == 0:
         return A, report
     swapped = []
-    for b in homogenize(A).points:
+    for b in homogenize(A):
         c = list(b)
         c[0], c[k] = c[k], c[0]
         swapped.append(tuple(c[1:]))

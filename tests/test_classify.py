@@ -17,6 +17,10 @@ class TestVerdicts:
         for d, D in [(1, 3), (2, 4), (3, 5)]:
             assert classify(minimal_smooth(d, D)).verdict == SMOOTH
 
+    def test_long_chart_chains_do_not_recurse(self):
+        # membership of 498 in <1, 499> walks 498 steps of v - 1
+        assert classify(minimal_smooth(1, 500)).verdict == SMOOTH
+
     def test_quartic_is_one_singular(self, quartic):
         report = classify(quartic)
         assert report.verdict == ONE_SINGULAR

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from toricreg import families
+from toricreg import families, naive_sumset
 from toricreg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +70,24 @@ class TestExitCodes:
     def test_resource_cap(self, capsys, write_instance, quartic):
         path = write_instance(quartic)
         assert run(capsys, "--max-slice", "4", "sigma", path)[0] == 2
+
+    @pytest.mark.parametrize("exc,expected", [(MemoryError, 2),
+                                              (RecursionError, 1)])
+    def test_runtime_errors(self, capsys, monkeypatch, write_instance,
+                            quartic, exc, expected):
+        def stage(*args, **kwargs):
+            raise exc()
+        monkeypatch.setattr("toricreg.cli.classify", stage)
+        code, out, err = run(capsys, "analyze", write_instance(quartic))
+        assert code == expected
+        assert out == "" and err == f"error: {exc.__name__}\n"
+
+    def test_long_d1_chain_is_analyzed(self, capsys, tmp_path):
+        inst = tmp_path / "chain.json"
+        inst.write_text('{"d": 1, "A": [[0], [1], [499], [500]]}')
+        code, out, _ = run(capsys, "analyze", str(inst))
+        assert code == 0
+        assert json.loads(out)["classification"]["verdict"] == "Smooth"
 
 
 class TestPlot:
@@ -144,6 +162,12 @@ class TestSubcommands:
                         "--s", "1")
         assert {tuple(p) for p in json.loads(out)["points"]} == set(
             quartic.points)
+
+    def test_sumset_points_in_colex_order(self, capsys, write_instance):
+        A = families.veronese(3, 2)
+        _, out, _ = run(capsys, "sumset", write_instance(A), "--s", "2")
+        pts = [tuple(p) for p in json.loads(out)["points"]]
+        assert pts == sorted(naive_sumset(A.points, 2), key=lambda p: p[::-1])
 
     def test_hilbert(self, capsys, write_instance, quartic):
         _, out, _ = run(capsys, "hilbert", write_instance(quartic),

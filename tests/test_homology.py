@@ -4,7 +4,8 @@ import pytest
 from toricreg import (GeneratorSet, PreconditionError, betti_numbers,
                       build_T, naive_member, reduced_homology,
                       semigroup_member)
-from toricreg.homology import face_tables_for_level, min_nonzero_degree
+from toricreg.homology import (HOMOLOGY_CACHE_SIZE, _betti_numbers,
+                               face_tables_for_level, min_nonzero_degree)
 from toricreg.oracle import homology_recheck
 
 
@@ -52,6 +53,18 @@ class TestBetti:
         assert betti_numbers(HOLLOW_TRIANGLE, 3, field)[1] == 1
         assert betti_numbers(SPHERE, 4, field)[2] == 1
 
+    def test_cache_is_bounded(self):
+        # distinct vertex sets of a 13-vertex complex with no edges
+        for n in range(HOMOLOGY_CACHE_SIZE + 10):
+            faces = frozenset({0} | {1 << j for j in range(13) if n >> j & 1})
+            betti = betti_numbers(faces, 13)
+            assert betti[0] == max(bin(n).count("1") - 1, 0)
+        assert _betti_numbers.cache_info().currsize <= HOMOLOGY_CACHE_SIZE
+
+    def test_returns_a_fresh_dict(self):
+        betti_numbers(HOLLOW_TRIANGLE, 3)[1] = 99
+        assert betti_numbers(HOLLOW_TRIANGLE, 3)[1] == 1
+
     def test_min_nonzero_degree(self):
         table = sum(1 << m for m in HOLLOW_TRIANGLE)
         assert min_nonzero_degree(table, 3) == 1
@@ -74,7 +87,7 @@ class TestSemigroupMembership:
 
     def test_agrees_with_naive_homogenized(self, quartic):
         from toricreg import homogenize
-        B = homogenize(quartic).points
+        B = homogenize(quartic)
         for y in [(4, 2, 2), (2, 1, 1), (0, 4, 0), (8, 0, 0), (1, 2, 1)]:
             assert semigroup_member(quartic, y) == naive_member(B, y)
 

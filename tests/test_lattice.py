@@ -1,14 +1,18 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
-                      ResourceLimitError, hilbert_function, homogenize,
-                      naive_sumset, step_equality_holds, step_threshold)
-from toricreg.lattice import SimplexSlice, naive_slice_points, norm, unit
+                      ResourceLimitError, families, hilbert_function,
+                      homogenize, naive_sumset, step_equality_holds,
+                      step_threshold)
+from toricreg.lattice import (SimplexSlice, naive_slice_points, norm,
+                              slice_size, unit)
+from toricreg.oracle import MAX_NAIVE_GENERATORS
 
 
 class TestSimplexSlice:
@@ -18,21 +22,31 @@ class TestSimplexSlice:
     ])
     def test_rank_is_a_bijection(self, d, D, s, e):
         sl = SimplexSlice(d, D, s, e)
+        pts = sl.points_array()
         expected = naive_slice_points(d, s * D, e)
         assert sl.size == len(expected)
-        seen = set()
-        for p in expected:
-            r = sl.rank(p)
-            assert 0 <= r < sl.size
-            assert sl.unrank(r) == p
-            seen.add(r)
-        assert len(seen) == sl.size
+        assert set(map(tuple, pts.tolist())) == expected
+        assert np.array_equal(sl.rank_array(pts), np.arange(sl.size))
+        assert [sl.rank(p) for p in map(tuple, pts.tolist())] == list(
+            range(sl.size))
 
-    def test_rank_embeds_colex_order(self):
-        sl = SimplexSlice(2, 3, 2, 1)
-        pts = [sl.unrank(i) for i in range(sl.size)]
-        # colex: last coordinate most significant
-        assert pts == sorted(pts, key=lambda p: p[::-1])
+    @pytest.mark.parametrize("d,D,s,e", [(2, 3, 2, 1), (3, 3, 2, 1),
+                                         (3, 4, 2, 2)])
+    def test_rank_is_graded_colex(self, d, D, s, e):
+        sl = SimplexSlice(d, D, s, e)
+        # norm first, then colex (last coordinate most significant)
+        pts = sorted(naive_slice_points(d, s * D, e),
+                     key=lambda p: (sum(p), p[::-1]))
+        assert list(sl.rank_array(np.array(pts))) == list(range(sl.size))
+
+    @pytest.mark.parametrize("d,D,e", [(1, 4, 2), (2, 4, 2), (3, 3, 1),
+                                       (3, 6, 3)])
+    def test_slice_is_a_prefix_of_the_next(self, d, D, e):
+        for s in range(4):
+            lo, hi = SimplexSlice(d, D, s, e), SimplexSlice(d, D, s + 1, e)
+            P = lo.points_array()
+            assert np.array_equal(lo.rank_array(P), hi.rank_array(P))
+            assert np.array_equal(hi.points_array()[:lo.size], P)
 
     def test_points_array_sorted_by_rank(self):
         sl = SimplexSlice(3, 4, 2, 2)
@@ -48,21 +62,32 @@ class TestSimplexSlice:
         with pytest.raises(OutOfDomainError):
             sl.rank((5, 0))  # norm 5 > 4
         with pytest.raises(OutOfDomainError):
-            sl.unrank(sl.size)
+            sl.rank_array(np.array([[3, 3]]))  # norm 6 > 4
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
             SimplexSlice(2, 10, 10, 1, max_size=100)
 
+    def test_size_cap_precedes_tables(self):
+        # 20002 points: refused before any table over the 20001 norms exists
+        with pytest.raises(ResourceLimitError):
+            SimplexSlice(2, 20000, 1, 20000, max_size=100)
+
+    @pytest.mark.parametrize("d,N,e", [(1, 1000, 7), (2, 300, 3),
+                                       (3, 120, 4), (5, 40, 1), (4, 60, 6)])
+    def test_size_closed_form(self, d, N, e):
+        assert slice_size(d, N, e) == sum(
+            comb(m + d - 1, d - 1) for m in range(0, N + 1, e))
+
     @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 3),
            st.data())
     @settings(max_examples=60, deadline=None)
-    def test_unrank_rank_roundtrip(self, d, D, s, data):
+    def test_rank_roundtrip_random(self, d, D, s, data):
         e = data.draw(st.sampled_from(
             [x for x in range(1, D + 1) if D % x == 0]))
         sl = SimplexSlice(d, D, s, e)
         i = data.draw(st.integers(0, sl.size - 1))
-        assert sl.rank(sl.unrank(i)) == i
+        assert sl.rank(tuple(sl.points_array()[i])) == i
 
 
 class TestGeneratorSet:
@@ -84,8 +109,16 @@ class TestGeneratorSet:
 
     def test_homogenize(self, quartic):
         B = homogenize(quartic)
-        assert all(norm(b) == 4 for b in B.points)
-        assert (0, 3, 1) in B.points  # lift of (3,1)
+        assert len(B) == len(quartic.points)
+        assert all(norm(b) == 4 for b in B)
+        assert (0, 3, 1) in B  # lift of (3,1)
+
+    def test_construction_is_lazy(self, quartic):
+        A = GeneratorSet(quartic.d, quartic.points)
+        assert not A._slices and not A._first.size and not A._new
+        A.level(2)
+        assert len(A._first) == A.slice(2).size
+        assert [len(f) for f in A._new] == [1, 6, 17]
 
     def test_levels_match_naive_sumsets(self, quartic):
         for s in range(5):
@@ -111,6 +144,32 @@ class TestGeneratorSet:
             A = GeneratorSet(d, pts)
             for s in range(4):
                 assert A.level(s).point_set() == naive_sumset(A.points, s)
+
+    @given(st.sampled_from(["veronese", "minimal_smooth", "smooth_random",
+                            "one_singular"]),
+           st.integers(1, 3), st.integers(2, 6), st.sampled_from(["1", "2", "D"]),
+           st.integers(0, 2**16), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_levels_match_naive_on_families(self, family, d, D, e, seed, s):
+        e = D if e == "D" else int(e)
+        rng = random.Random(seed)
+        if family == "veronese":
+            assume(comb(D + d, d) <= MAX_NAIVE_GENERATORS)
+            A = families.veronese(d, D)
+        elif family == "minimal_smooth":
+            assume(D >= 3)
+            A = families.minimal_smooth(d, D)
+        elif family == "smooth_random":
+            assume(D >= 3)
+            A = families.smooth_random_superset(d, D, rng)
+        else:
+            # for d = 1 and e > 1 every lifted coordinate is a multiple of e
+            assume(D % e == 0 and (e, D) != (1, 2) and (d > 1 or e == 1))
+            A = families.one_singular_random(d, D, e, rng)
+        assume(len(A.points) <= MAX_NAIVE_GENERATORS)
+        lvl = A.level(s)
+        assert lvl.point_set() == naive_sumset(A.points, s)
+        assert lvl.cardinality == len(lvl.points)
 
 
 class TestStepProperty:

@@ -1,9 +1,43 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from toricreg import PreconditionError, naive_member, naive_sumset
+from toricreg import PreconditionError, naive_member, naive_sumset, oracle
 from toricreg.oracle import homology_recheck
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the toricreg package that a module at its top imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = f"toricreg.{module}" if module else "toricreg"
+            names = ([f"toricreg.{alias.name}" for alias in node.names]
+                     if module == "toricreg" else [module])
+        else:
+            continue
+        found.update(n for n in names
+                     if n == "toricreg" or n.startswith("toricreg."))
+    return found
+
+
+class TestIndependence:
+    def test_import_checker(self):
+        assert package_imports("from .errors import X") == {"toricreg.errors"}
+        assert package_imports("from . import lattice") == {"toricreg.lattice"}
+        assert package_imports(
+            "import numpy\nfrom toricreg.homology import build_T"
+        ) == {"toricreg.homology"}
+
+    def test_oracle_imports_only_errors(self):
+        source = Path(oracle.__file__).read_text()
+        assert package_imports(source) <= {"toricreg.errors"}
 
 
 class TestNaiveSumset:
