@@ -7,8 +7,7 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, AffineChart,
 from .errors import (CertificationError, InvalidInstanceError,
                      OutOfDomainError, PreconditionError, ResourceLimitError,
                      ToricRegError, UnsupportedInstanceError)
-from .homology import (FaceComplex, betti_numbers, build_T, reduced_homology,
-                       semigroup_member)
+from .homology import betti_numbers, semigroup_member
 from .oracle import naive_member, naive_sumset
 from .lattice import (GeneratorSet, SimplexSlice, SumsetLevel,
                       hilbert_function, homogenize, norm, step_equality_holds,
@@ -24,15 +23,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineChart", "CertificationError", "ClassificationReport",
-    "DegreeResult", "FaceComplex", "GeneratorSet", "HoleSet",
+    "DegreeResult", "GeneratorSet", "HoleSet",
     "InvalidInstanceError", "ONE_SINGULAR", "OTHER", "OutOfDomainError",
     "PreconditionError", "RegularityResult", "ResourceLimitError", "SMOOTH",
     "SigmaBounds", "SigmaResult", "SimplexSlice", "SumsetLevel",
-    "ToricRegError", "UnsupportedInstanceError", "betti_numbers", "build_T",
+    "ToricRegError", "UnsupportedInstanceError", "betti_numbers",
     "classify", "compute_holes", "degree", "eg_check", "eg_inequality_suite",
     "herzog_hibi_bound", "hilbert_function", "homogenize", "is_chart_smooth",
     "naive_member", "naive_sumset", "norm", "normalize_singular_vertex",
-    "one_singular_bound", "reduce_e_equals_D", "reduced_homology", "reg",
+    "one_singular_bound", "reduce_e_equals_D", "reg",
     "semigroup_member", "sigma", "sigma_bounds", "sizeA_bound",
     "step_equality_holds", "step_threshold", "verify_sigma_bounds",
 ]

@@ -10,13 +10,12 @@ drives the regularity formula; the empty face is kept as the single
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import PreconditionError
-from .lattice import GeneratorSet, Point, norm
+from .lattice import GeneratorSet, norm
 from .linalg import bareiss_rank, rank_mod_p
 
 FieldTag = Union[str, int]  # "q" or a prime
@@ -39,55 +38,6 @@ def semigroup_member(A: GeneratorSet, y: Sequence[int]) -> bool:
         return False
     s = total // A.D
     return A.level(s).contains(y[1:])
-
-
-@dataclass
-class FaceComplex:
-    """Faces of T_y encoded as subset bitmasks of {0, ..., d}."""
-    y: Point
-    n_vertices: int  # d + 1 candidate vertices
-    faces: frozenset[int]  # bitmasks; 0 is the empty face
-
-    def face_list(self) -> list[tuple[int, ...]]:
-        out = []
-        for f in sorted(self.faces):
-            out.append(tuple(j for j in range(self.n_vertices) if f >> j & 1))
-        return out
-
-
-def build_T(A: GeneratorSet, y: Sequence[int]) -> FaceComplex:
-    """The complex of subtractable extremal-ray subsets at y."""
-    if not semigroup_member(A, y):
-        raise PreconditionError(f"{tuple(y)} is not in the semigroup")
-    y = tuple(int(c) for c in y)
-    d1 = A.d + 1
-    faces = set()
-    for mask in range(1 << d1):
-        z = list(y)
-        for j in range(d1):
-            if mask >> j & 1:
-                z[j] -= A.D
-        if all(c >= 0 for c in z) and semigroup_member(A, z):
-            faces.add(mask)
-    # translation by D*e_j stays in S_A, so the family must be downward closed
-    for f in faces:
-        for j in range(d1):
-            if f >> j & 1:
-                assert (f ^ (1 << j)) in faces, "face family not subset-closed"
-    return FaceComplex(y, d1, frozenset(faces))
-
-
-@dataclass
-class ReducedHomologyProfile:
-    betti: dict[int, int]  # i -> rank, i = -1..n_vertices-1
-    field_tag: FieldTag
-
-    def nonzero_degrees(self) -> list[int]:
-        return sorted(i for i, b in self.betti.items() if b)
-
-    def to_json_dict(self) -> dict:
-        return {"betti": {str(i): b for i, b in sorted(self.betti.items())},
-                "field": str(self.field_tag)}
 
 
 def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
@@ -138,12 +88,6 @@ def _betti_numbers(faces: frozenset[int], n_vertices: int,
     chi_betti = sum((-1) ** i * b for i, b in betti.items())
     assert chi_faces == chi_betti, (chi_faces, chi_betti)
     return tuple(sorted(betti.items()))
-
-
-def reduced_homology(complex_: FaceComplex,
-                     field: FieldTag = "q") -> ReducedHomologyProfile:
-    betti = betti_numbers(complex_.faces, complex_.n_vertices, field)
-    return ReducedHomologyProfile(betti, field)
 
 
 def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarray]:

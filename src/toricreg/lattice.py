@@ -132,14 +132,23 @@ class SimplexSlice:
         return ranks
 
     def points_array(self) -> np.ndarray:
-        """All slice points as an (size, d) int array, sorted by rank."""
-        axes = [np.arange(self.N + 1, dtype=np.int32)] * self.d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        pts = grid.reshape(-1, self.d)
-        norms = pts.sum(axis=1, dtype=np.int64)
-        pts = pts[(norms <= self.N) & (norms % self.e == 0)]
-        order = np.argsort(self.rank_array(pts, validate=False), kind="stable")
-        return pts[order]
+        """All slice points as an (size, d) int array, sorted by rank.
+
+        Rank order is lexicographic in (|y|, y_(d-1), ..., y_1), with y_0
+        what is left of the norm, so the rows are grown in that order one
+        coordinate at a time and no point outside the slice is formed.
+        """
+        rest = np.arange(0, self.N + 1, self.e, dtype=np.int64)
+        cols: list[np.ndarray] = []
+        for _ in range(self.d - 1):
+            counts = rest + 1
+            rows = np.repeat(np.arange(len(rest)), counts)
+            vals = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
+                                                    counts)
+            cols = [c[rows] for c in cols] + [vals.astype(np.int32)]
+            rest = rest[rows] - vals
+        cols.append(rest.astype(np.int32))
+        return np.stack(cols[::-1], axis=1)
 
     def __repr__(self) -> str:
         return f"SimplexSlice(d={self.d}, D={self.D}, s={self.s}, e={self.e})"
@@ -170,6 +179,10 @@ class SumsetLevel:
             ranks = self.slice.rank_array(pts[ok], validate=False)
             out[ok] = self._A._first[ranks] <= self.s
         return out
+
+    def gaps(self) -> np.ndarray:
+        """Ascending ranks of the points of slice(s) \\ sA."""
+        return np.flatnonzero(self._A._first[:self.slice.size] > self.s)
 
     @property
     def points(self) -> np.ndarray:

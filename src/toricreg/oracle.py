@@ -2,7 +2,8 @@
 
 These deliberately share nothing with the main pipeline beyond plain
 tuples: sumsets by multiset enumeration, semigroup elements by
-dynamic programming, and homology by an independent modular Gaussian
+dynamic programming, the complexes T_y by one membership query per
+vertex subset, and homology by an independent modular Gaussian
 elimination on explicitly listed faces.
 """
 
@@ -56,6 +57,32 @@ def naive_member(gens: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
                     nxt.append(w)
         frontier = nxt
     return y in reachable
+
+
+def naive_faces(gens: Iterable[Sequence[int]],
+                y: Sequence[int]) -> frozenset[int]:
+    """Faces of T_y as vertex bitmasks, for generators of one norm D.
+
+    The subset F of coordinates (bit j for coordinate j) is a face when
+    y - D * sum over F of e_j is still an N-combination of the generators.
+    """
+    gs = [tuple(int(c) for c in g) for g in gens]
+    y = tuple(int(c) for c in y)
+    if not naive_member(gs, y):
+        raise PreconditionError(f"{y} is not in the semigroup")
+    D = max(sum(g) for g in gs)
+    faces = set()
+    for mask in range(1 << len(y)):
+        z = [c - D * (mask >> j & 1) for j, c in enumerate(y)]
+        if naive_member(gs, z):
+            faces.add(mask)
+    # translation by D*e_j stays in the semigroup, so the family must be
+    # downward closed
+    for f in faces:
+        for j in range(len(y)):
+            if f >> j & 1:
+                assert (f ^ (1 << j)) in faces, "face family not subset-closed"
+    return frozenset(faces)
 
 
 def _gauss_rank_mod_p(rows: list[list[int]], p: int) -> int:

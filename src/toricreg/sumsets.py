@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .classify import ONE_SINGULAR, SMOOTH, ClassificationReport, classify
 from .errors import CertificationError, UnsupportedInstanceError
-from .lattice import (GeneratorSet, Point, homogenize, norm, step_equality_holds,
-                      step_threshold)
+from .lattice import (GeneratorSet, Point, hilbert_function, homogenize,
+                      step_equality_holds, step_threshold)
 
 
 @dataclass
@@ -105,73 +107,81 @@ def sigma_bounds(A: GeneratorSet,
 
 def compute_holes(A: GeneratorSet,
                   report: Optional[ClassificationReport] = None) -> HoleSet:
-    """H = slice(t0) minus the level-s0 sumset (empty in the smooth case)."""
-    report = report or classify(A)
-    _require_supported(report)
-    A, report = normalize_singular_vertex(A, report)
-    bounds = SigmaBounds(A.d, A.D, report.e, report.verdict == SMOOTH)
-
-    if report.verdict == SMOOTH:
-        # saturation at the upper bound forces the semigroup to fill the cone
-        s = max(bounds.upper, 1)
-        lvl = A.level(s)
-        if lvl.cardinality != lvl.slice.size:
-            raise CertificationError(
-                f"smooth instance does not saturate at level {s}")
-        return HoleSet(frozenset(), 0)
-
-    t0 = max(bounds.t0, 0)
-    s0 = max(bounds.s0, 0)
-    lvl = A.level(s0)
-    candidates = A.slice(t0).points_array()
-    inside = lvl.contains_array(candidates)
-    holes = frozenset(tuple(int(c) for c in p) for p in candidates[~inside])
-    enclosing = max((-(-norm(h) // A.D) for h in holes), default=0)
-    return HoleSet(holes, enclosing)
+    """The hole set H (empty in the smooth case); see ``sigma``."""
+    return sigma(A, report).holes
 
 
 def sigma(A: GeneratorSet,
-          report: Optional[ClassificationReport] = None,
-          holes: Optional[HoleSet] = None) -> SigmaResult:
-    """Exact sumsets regularity with a certified verification window."""
+          report: Optional[ClassificationReport] = None) -> SigmaResult:
+    """Exact sumsets regularity, with H read off the stable gaps.
+
+    The gaps of level s are slice(s) \\ sA.  Levels are built until the
+    first ``stop`` at which level stop-1 (>= lower) has no gap of norm
+    above (stop-2)*D and level stop has as many gaps as level stop-1.
+    From then on the gaps are final.  Say level s-1 >= lower has all its
+    gaps at norm <= (s-2)*D:
+
+    - gaps only shrink: a z in slice(s) \\ slice(s-1) is y + D*e_i for
+      some y in slice(s-1) of norm > (s-2)*D (step property), so y is in
+      (s-1)A and z in sA.  Hence gaps(s) is a subset of gaps(s-1), and
+      equal counts mean equal sets;
+    - no later level fills a gap: were a gap y of level s filled as
+      y = x + a with x in sA, then x, of norm <= |y|, lies in slice(s-1)
+      but not in (s-1)A (else y would be in sA), so x is a gap of level
+      s-1 that level s fills, yet gaps(s) = gaps(s-1).
+
+    By induction the gaps at stop are H, and every level from stop-1 on
+    equals slice \\ H.  So sigma = max(lower, enclosing level of H, last
+    level s <= stop with |sA| != |slice(s) \\ H| plus one), and the levels
+    [sigma, stop] are the ones checked point for point.  The step
+    property is monotone in s, so checking it at sigma <= stop-1 covers
+    every level the argument uses.
+    """
     report = report or classify(A)
     _require_supported(report)
     A, report = normalize_singular_vertex(A, report)
     bounds = SigmaBounds(A.d, A.D, report.e, report.verdict == SMOOTH)
-    if holes is None:
-        holes = compute_holes(A, report)
 
-    if report.verdict == SMOOTH:
-        # equality sA = slice(s) propagates upward once s >= lower
-        for s in range(bounds.lower, max(bounds.upper, bounds.lower) + 1):
-            if A.level(s).cardinality == A.slice(s).size:
-                result = SigmaResult(s, holes, bounds, (s, s), s)
-                break
-        else:
-            raise CertificationError(
-                f"no full sumset level in [{bounds.lower}, {bounds.upper}]; "
-                f"this contradicts the certified upper bound")
+    start = max(bounds.lower, 1)
+    # if sigma <= upper, the stop rule fires by this level
+    last = max(bounds.upper, 1) + 2
+    prev = A.level(start).gaps()
+    for stop in range(start + 1, last + 1):
+        gaps = A.level(stop).gaps()
+        settled = not len(prev) or prev[-1] < A.slice(stop - 2).size
+        if settled and len(gaps) == len(prev):
+            break
+        prev = gaps
     else:
-        s0 = max(bounds.s0, 0)
-        fail_max = -1
-        for s in range(s0 + 1):
-            expected = A.slice(s).size - sum(
-                1 for h in holes.points if norm(h) <= s * A.D)
-            if A.level(s).cardinality != expected:
-                fail_max = s
-        s = max(bounds.lower, holes.enclosing_level, fail_max + 1)
-        if s > bounds.upper:
-            raise CertificationError(
-                f"sumsets regularity {s} exceeds the certified upper bound "
-                f"{bounds.upper}")
-        result = SigmaResult(s, holes, bounds, (s, s0), s)
-
-    if not step_equality_holds(A.d, A.D, report.e, result.sigma,
-                               A.max_slice_size):
         raise CertificationError(
-            f"step property fails at s = {result.sigma} despite the "
-            f"threshold formula")
-    return result
+            f"sumset gaps not final by level {last}; this contradicts the "
+            f"certified upper bound {bounds.upper}")
+    if report.verdict == SMOOTH and len(gaps):
+        raise CertificationError(
+            f"smooth instance has {len(gaps)} gaps that never close")
+
+    # every gap has norm <= (stop-2)*D by the stop rule
+    points = A.slice(stop - 2).points_array()[gaps]
+    norms = points.sum(axis=1, dtype=np.int64)
+    enclosing = int(-(-norms.max() // A.D)) if len(gaps) else 0
+    if enclosing > max(bounds.t0, 0):
+        raise CertificationError(
+            f"a hole has norm {int(norms.max())} > t0*D = {bounds.t0 * A.D}")
+    holes = HoleSet(frozenset(map(tuple, points.tolist())), enclosing)
+
+    sizes = np.array([A.slice(s).size for s in range(stop + 1)])
+    stable = sizes - np.searchsorted(gaps, sizes)
+    failing = np.flatnonzero(np.array(hilbert_function(A, stop)) != stable)
+    s = max(bounds.lower, enclosing,
+            int(failing[-1]) + 1 if len(failing) else 0)
+    if s > bounds.upper:
+        raise CertificationError(
+            f"sumsets regularity {s} exceeds the certified upper bound "
+            f"{bounds.upper}")
+    if not step_equality_holds(A.d, A.D, report.e, s, A.max_slice_size):
+        raise CertificationError(
+            f"step property fails at s = {s} despite the threshold formula")
+    return SigmaResult(s, holes, bounds, (s, stop), s)
 
 
 def verify_sigma_bounds(A: GeneratorSet,

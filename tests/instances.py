@@ -1,0 +1,25 @@
+"""Instances of the four generator families for hypothesis tests."""
+
+import random
+
+from hypothesis import assume
+
+from toricreg import families
+
+FAMILIES = ("veronese", "minimal_smooth", "smooth_random", "one_singular")
+
+
+def family_instance(family, d, D, e, seed):
+    """An instance of ``family``; ``assume`` rejects the (d, D, e) that
+    the family does not cover (e matters only for one_singular)."""
+    rng = random.Random(seed)
+    if family == "veronese":
+        return families.veronese(d, D)
+    if family == "one_singular":
+        # for d = 1 and e > 1 every lifted coordinate is a multiple of e
+        assume(D % e == 0 and (e, D) != (1, 2) and (d > 1 or e == 1))
+        return families.one_singular_random(d, D, e, rng)
+    assume(D >= 3)
+    if family == "minimal_smooth":
+        return families.minimal_smooth(d, D)
+    return families.smooth_random_superset(d, D, rng)

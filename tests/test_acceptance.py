@@ -17,18 +17,17 @@ from math import comb
 import numpy as np
 import pytest
 
-from toricreg import (GeneratorSet, betti_numbers, build_T, classify, degree,
-                      eg_check, eg_inequality_suite, naive_member,
-                      naive_sumset, one_singular_bound, reg, reduced_homology,
-                      semigroup_member, sigma, sizeA_bound,
-                      step_equality_holds, step_threshold)
+from toricreg import (GeneratorSet, betti_numbers, classify, degree,
+                      eg_check, eg_inequality_suite, homogenize, naive_member,
+                      naive_sumset, one_singular_bound, reg, semigroup_member,
+                      sigma, sizeA_bound, step_equality_holds, step_threshold)
 from toricreg.classify import AffineChart, ONE_SINGULAR, SMOOTH, is_chart_smooth
 from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
                                smooth_random_superset, veronese)
 from toricreg.homology import face_tables_for_level
 from toricreg.lattice import naive_slice_points, unit
-from toricreg.oracle import homology_recheck
+from toricreg.oracle import homology_recheck, naive_faces
 
 
 # --------------------------------------------------------------------------
@@ -88,9 +87,9 @@ def test_criterion_01_quartic_surface(quartic):
     assert rr.reg == 2
     # the stated witness: T_(4,2,2) is the empty complex, betti_{-1} = 1,
     # contributing |y|/D - (i+1) = 2 - 0 = 2
-    T = build_T(quartic, (4, 2, 2))
-    assert T.faces == frozenset({0})
-    assert reduced_homology(T).betti[-1] == 1
+    faces = naive_faces(homogenize(quartic), (4, 2, 2))
+    assert faces == frozenset({0})
+    assert betti_numbers(faces, 3)[-1] == 1
     dr = degree(quartic, report)
     assert dr.degree == 8 and dr.codim == 4
     assert eg_check(quartic, report, rr, dr)["holds"]
@@ -118,9 +117,9 @@ def test_criterion_02_even_sextic_companion(even_sextic):
     assert rr.reg == 3
     # stated witness: the hollow triangle at y = (6,9,15), betti_1 = 1,
     # contributing 30/6 - (1+1) = 3
-    T = build_T(even_sextic, (6, 9, 15))
-    assert T.faces == frozenset({0, 1, 2, 4, 3, 5, 6})
-    assert reduced_homology(T).betti[1] == 1
+    faces = naive_faces(homogenize(even_sextic), (6, 9, 15))
+    assert faces == frozenset({0, 1, 2, 4, 3, 5, 6})
+    assert betti_numbers(faces, 3)[1] == 1
     print("criterion 2: PASS (holes empty, sigma=3, reg=3, hollow triangle "
           "at (6,9,15); literal sigma==2 kept as strict xfail)")
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
-                      ResourceLimitError, families, hilbert_function,
-                      homogenize, naive_sumset, step_equality_holds,
-                      step_threshold)
+                      ResourceLimitError, hilbert_function, homogenize,
+                      naive_sumset, step_equality_holds, step_threshold)
 from toricreg.lattice import (SimplexSlice, naive_slice_points, norm,
                               slice_size, unit)
 from toricreg.oracle import MAX_NAIVE_GENERATORS
+
+from instances import FAMILIES, family_instance
 
 
 class TestSimplexSlice:
@@ -54,6 +56,18 @@ class TestSimplexSlice:
         assert arr.shape == (sl.size, 3)
         ranks = sl.rank_array(arr)
         assert list(ranks) == list(range(sl.size))
+
+    def test_points_array_builds_no_dense_grid(self):
+        # the (N+1)^d grid of this slice would hold 4.9M rows for 0.33M points
+        sl = SimplexSlice(4, 6, 10, 2)
+        tracemalloc.start()
+        try:
+            pts = sl.points_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (sl.size, 4)
+        assert peak < 10 * pts.nbytes
 
     def test_out_of_domain(self):
         sl = SimplexSlice(2, 4, 1, 2)
@@ -145,27 +159,12 @@ class TestGeneratorSet:
             for s in range(4):
                 assert A.level(s).point_set() == naive_sumset(A.points, s)
 
-    @given(st.sampled_from(["veronese", "minimal_smooth", "smooth_random",
-                            "one_singular"]),
-           st.integers(1, 3), st.integers(2, 6), st.sampled_from(["1", "2", "D"]),
-           st.integers(0, 2**16), st.integers(0, 4))
+    @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 6),
+           st.sampled_from(["1", "2", "D"]), st.integers(0, 2**16),
+           st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_levels_match_naive_on_families(self, family, d, D, e, seed, s):
-        e = D if e == "D" else int(e)
-        rng = random.Random(seed)
-        if family == "veronese":
-            assume(comb(D + d, d) <= MAX_NAIVE_GENERATORS)
-            A = families.veronese(d, D)
-        elif family == "minimal_smooth":
-            assume(D >= 3)
-            A = families.minimal_smooth(d, D)
-        elif family == "smooth_random":
-            assume(D >= 3)
-            A = families.smooth_random_superset(d, D, rng)
-        else:
-            # for d = 1 and e > 1 every lifted coordinate is a multiple of e
-            assume(D % e == 0 and (e, D) != (1, 2) and (d > 1 or e == 1))
-            A = families.one_singular_random(d, D, e, rng)
+        A = family_instance(family, d, D, D if e == "D" else int(e), seed)
         assume(len(A.points) <= MAX_NAIVE_GENERATORS)
         lvl = A.level(s)
         assert lvl.point_set() == naive_sumset(A.points, s)

@@ -1,14 +1,49 @@
-import pytest
+import random
 
-from toricreg import (CertificationError, GeneratorSet,
-                      UnsupportedInstanceError, classify, compute_holes,
-                      sigma, sigma_bounds, verify_sigma_bounds)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
+                      compute_holes, sigma, sigma_bounds, verify_sigma_bounds)
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, veronese)
 from toricreg.lattice import naive_slice_points
 from toricreg.sumsets import normalize_singular_vertex
 
-import random
+from instances import FAMILIES, family_instance
+
+
+def reference_sigma(A):
+    """H and sigma by the full window, the definition the stop rule replaced.
+
+    H is what the level-s0 sumset misses of slice(t0) (of slice(upper)
+    when smooth, where saturation at upper means H is empty), and sigma
+    follows from the cardinalities of every level up to there.
+    """
+    A, report = normalize_singular_vertex(A, classify(A))
+    b = sigma_bounds(A, report)
+    t, end = ((b.upper, b.upper) if b.smooth
+              else (max(b.t0, 0), max(b.s0, 0)))
+    cand = A.slice(t).points_array()
+    holes = frozenset(map(tuple, cand[
+        ~A.level(end).contains_array(cand)].tolist()))
+    enclosing = max((-(-sum(h) // A.D) for h in holes), default=0)
+    fail_max = max((s for s in range(end + 1)
+                    if A.level(s).cardinality != A.slice(s).size - sum(
+                        sum(h) <= s * A.D for h in holes)), default=-1)
+    return holes, enclosing, max(b.lower, enclosing, fail_max + 1), b
+
+
+def assert_matches_reference(A):
+    result = sigma(A)
+    holes, enclosing, s, bounds = reference_sigma(A)
+    assert result.holes.points == holes, A
+    assert result.holes.enclosing_level == enclosing, A
+    assert result.sigma == s, A
+    assert result.bounds == bounds, A
+    assert result.window_verified[0] == s, A
+    assert result.window_verified[1] - s in (1, 2), A
 
 
 class TestHoles:
@@ -60,9 +95,48 @@ class TestSigma:
 
     def test_window_certificate(self, quartic):
         result = sigma(quartic)
-        lo, hi = result.window_verified
-        assert lo <= result.sigma <= hi
+        # level 2 already holds every gap at norm <= 4, and level 3 has
+        # the same single gap, so the gaps are final at stop = 3
+        assert result.window_verified == (2, 3)
         assert result.step_verified_at == result.sigma
+
+    def test_stops_two_levels_above_sigma(self):
+        A = one_singular_random(3, 6, 2, random.Random(3062))
+        assert classify(A).singular_vertex == 0  # sigma works on A itself
+        result = sigma(A)
+        top = len(A._levels) - 1  # the highest level built
+        assert top <= result.sigma + 2
+        assert result.window_verified == (result.sigma, top)
+
+    def test_low_gap_filled_late(self):
+        # 4 = 1+1+1+1 is a gap of level 3 below norm D that fills at
+        # level 4, so a settled norm alone does not make the gaps final
+        A = GeneratorSet(1, [(0,), (1,), (5,), (6,), (7,), (8,), (9,)])
+        assert [len(A.level(s).gaps()) for s in range(6)] == [0, 3, 2, 1, 0, 0]
+        assert sigma(A).window_verified == (4, 5)
+        assert_matches_reference(A)
+
+    @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
+           st.sampled_from([(2, 4, 2), (2, 6, 3), (3, 4, 2), (2, 4, 4)]),
+           st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_full_window_on_families(self, family, d, D, cell,
+                                                 seed):
+        # one-singular cells with a small s0 = (D/e) * t0
+        if family == "one_singular":
+            d, D, e = cell
+        else:
+            e = 1
+        assert_matches_reference(family_instance(family, d, D, e, seed))
+
+    @pytest.mark.parametrize("d,D,e", [(2, 4, 2), (2, 4, 4), (2, 6, 2),
+                                       (2, 6, 6), (3, 4, 2), (3, 4, 4),
+                                       (3, 6, 6)])
+    def test_matches_the_full_window_on_acceptance_cells(self, d, D, e):
+        # the criterion-6 samples; (3, 6, 2), with s0 = 27, is left out
+        rng = random.Random(1000 * d + 10 * D + e)
+        for _ in range(20):
+            assert_matches_reference(one_singular_random(d, D, e, rng))
 
     def test_bounds_hold_on_random_singular(self):
         rng = random.Random(3)
