@@ -27,10 +27,6 @@ ONE_SINGULAR = "OneSingular"
 OTHER = "Other"
 
 
-def _hunit(d1: int, i: int, scale: int = 1) -> Point:
-    return tuple(scale if j == i else 0 for j in range(d1))
-
-
 class AffineChart:
     """Affine semigroup of the chart at the torus-fixed point P_i.
 
@@ -42,7 +38,7 @@ class AffineChart:
         d = A.d
         self.index = index
         B = homogenize(A)
-        axes = {_hunit(d + 1, j, A.D) for j in range(d + 1)}
+        axes = {unit(d + 1, j, A.D) for j in range(d + 1)}
         gens = {unit(d, j, A.D) for j in range(d)}
         for b in B:
             if b not in axes:

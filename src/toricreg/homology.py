@@ -37,7 +37,8 @@ def semigroup_member(A: GeneratorSet, y: Sequence[int]) -> bool:
     if total % A.D:
         return False
     s = total // A.D
-    return A.level(s).contains(y[1:])
+    A.level(s)
+    return bool(A.first_levels(np.array([y[1:]]))[0] <= s)
 
 
 def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
@@ -103,16 +104,18 @@ def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarr
         raise PreconditionError("face tables support at most 6 vertices")
     pts = A.level(s).points
     tables = np.zeros(pts.shape[0], dtype=np.int64)
-    for mask in range(1 << (d + 1)):
-        k = bin(mask).count("1")
-        if k > s:
-            continue
-        # y - sum_F D*e_j lies at level s - k; its homogenizing coordinate
-        # stays >= 0 exactly when the shifted point is in slice(s - k)
-        v = np.array([D if mask >> (j + 1) & 1 else 0 for j in range(d)],
+    for axes in range(1 << d):
+        k = bin(axes).count("1")
+        # taking D*e_j off y for the k axes in F leaves norm (s - k)*D;
+        # taking off the homogenizing vertex too leaves (s - k - 1)*D with
+        # the same dehomogenized part, so one lookup decides both faces
+        v = np.array([D if axes >> j & 1 else 0 for j in range(d)],
                      dtype=np.int64)
-        ok = A.level(s - k).contains_array(pts - v)
-        tables |= ok.astype(np.int64) << mask
+        first = A.first_levels(pts - v)
+        for bit, level in ((axes << 1, s - k), (axes << 1 | 1, s - k - 1)):
+            # in place: no int64 temporary per bit
+            np.bitwise_or(tables, np.int64(1) << bit, out=tables,
+                          where=first <= level)
     return pts, tables
 
 

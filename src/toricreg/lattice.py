@@ -5,8 +5,9 @@ of lattice points of bounded coordinate sum (optionally restricted to sums
 divisible by ``e``), ranked by norm first and colexicographically inside a
 norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
 rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
-engine: it records for each rank the first level s with the point in sA,
-and its ``SumsetLevel`` objects are views of that record.
+engine: it records for each rank the first level s with the point in sA.
+Its ``first_levels`` reads that record and is the engine's one membership
+query, and its ``SumsetLevel`` objects are views of the same record.
 """
 
 from __future__ import annotations
@@ -95,23 +96,6 @@ class SimplexSlice:
         # _last[n] = rank of the last slice point of norm <= n
         self._last = np.cumsum(layer) - 1
 
-    # -- containment ----------------------------------------------------
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return (len(point) == self.d
-                and all(c >= 0 for c in point)
-                and sum(point) <= self.N
-                and sum(point) % self.e == 0)
-
-    # -- rank -----------------------------------------------------------
-
-    def rank(self, point: Sequence[int]) -> int:
-        if not self.contains(point):
-            raise OutOfDomainError(f"{tuple(point)} not in slice "
-                                   f"(d={self.d}, N={self.N}, e={self.e})")
-        arr = np.asarray(point, dtype=np.int64).reshape(1, self.d)
-        return int(self.rank_array(arr, validate=False)[0])
-
     def rank_array(self, points: np.ndarray, validate: bool = True) -> np.ndarray:
         """Vectorized rank of an (n, d) array of slice points.
 
@@ -163,22 +147,6 @@ class SumsetLevel:
         self.s = s
         self.slice = A.slice(s)
         self.cardinality = sum(len(new) for new in A._new[:s + 1])
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return (self.slice.contains(point)
-                and bool(self._A._first[self.slice.rank(point)] <= self.s))
-
-    def contains_array(self, points: np.ndarray) -> np.ndarray:
-        """Which candidate points lie in sA (False outside the slice)."""
-        pts = np.asarray(points, dtype=np.int64)
-        out = np.zeros(pts.shape[0], dtype=bool)
-        norms = pts.sum(axis=1)
-        ok = ((pts >= 0).all(axis=1) & (norms <= self.slice.N)
-              & (norms % self.slice.e == 0))
-        if ok.any():
-            ranks = self.slice.rank_array(pts[ok], validate=False)
-            out[ok] = self._A._first[ranks] <= self.s
-        return out
 
     def gaps(self) -> np.ndarray:
         """Ascending ranks of the points of slice(s) \\ sA."""
@@ -262,6 +230,25 @@ class GeneratorSet:
         while len(self._levels) <= s:
             self._levels.append(self._next_level())
         return self._levels[s]
+
+    def first_levels(self, points: np.ndarray) -> np.ndarray:
+        """First level holding each row of an (n, d) array of points.
+
+        The engine's one membership query: once level s is built, y is in
+        sA iff its first level is <= s.  Rows outside the largest slice
+        built (a negative coordinate, a norm not divisible by e, or a norm
+        above that slice) get ``_UNSEEN``, as do points no level built
+        holds.
+        """
+        pts = np.asarray(points, dtype=np.int64)
+        out = np.full(pts.shape[0], _UNSEEN, dtype=np.int32)
+        if not self._levels:
+            return out
+        sl = self.slice(len(self._levels) - 1)
+        norms = pts.sum(axis=1)
+        ok = (pts >= 0).all(axis=1) & (norms <= sl.N) & (norms % self.e == 0)
+        out[ok] = self._first[sl.rank_array(pts[ok], validate=False)]
+        return out
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is

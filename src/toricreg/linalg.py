@@ -12,12 +12,8 @@ import itertools
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 
 def _to_rows(M) -> list[list[int]]:
-    if isinstance(M, np.ndarray):
-        return [[int(x) for x in row] for row in M]
     return [[int(x) for x in row] for row in M]
 
 

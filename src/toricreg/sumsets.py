@@ -28,6 +28,7 @@ class SigmaBounds:
     t0: int = field(init=False)
     s0: int = field(init=False)
     lower: int = field(init=False)
+    stable_upper: int = field(init=False)
     upper: int = field(init=False)
 
     def __post_init__(self):
@@ -35,10 +36,14 @@ class SigmaBounds:
         self.t0 = (D - 2) * (d - 1) + D // e - 2
         self.s0 = (D // e) * self.t0
         self.lower = step_threshold(d, D, e)
+        # the closed form bounds the level where the sumsets stabilize;
+        # sigma is also >= lower, which exceeds it in the (d, D, e) =
+        # (2, 3, 3) and (3, 3, 3) cells
         if D == 2:
-            self.upper = d - d // 2 if self.smooth else -((1 - d) // 2)
+            self.stable_upper = d - d // 2 if self.smooth else -((1 - d) // 2)
         else:
-            self.upper = d * (D - 2) if self.smooth else self.s0
+            self.stable_upper = d * (D - 2) if self.smooth else self.s0
+        self.upper = max(self.stable_upper, self.lower)
 
 
 @dataclass
@@ -56,7 +61,6 @@ class SigmaResult:
     holes: HoleSet
     bounds: SigmaBounds
     window_verified: tuple[int, int]
-    step_verified_at: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,16 +176,16 @@ def sigma(A: GeneratorSet,
     sizes = np.array([A.slice(s).size for s in range(stop + 1)])
     stable = sizes - np.searchsorted(gaps, sizes)
     failing = np.flatnonzero(np.array(hilbert_function(A, stop)) != stable)
-    s = max(bounds.lower, enclosing,
-            int(failing[-1]) + 1 if len(failing) else 0)
-    if s > bounds.upper:
+    stable_at = max(enclosing, int(failing[-1]) + 1 if len(failing) else 0)
+    if stable_at > bounds.stable_upper:
         raise CertificationError(
-            f"sumsets regularity {s} exceeds the certified upper bound "
-            f"{bounds.upper}")
+            f"sumsets stabilize at level {stable_at}, above the certified "
+            f"bound {bounds.stable_upper}")
+    s = max(bounds.lower, stable_at)
     if not step_equality_holds(A.d, A.D, report.e, s, A.max_slice_size):
         raise CertificationError(
             f"step property fails at s = {s} despite the threshold formula")
-    return SigmaResult(s, holes, bounds, (s, stop), s)
+    return SigmaResult(s, holes, bounds, (s, stop))
 
 
 def verify_sigma_bounds(A: GeneratorSet,

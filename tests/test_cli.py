@@ -89,6 +89,15 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["classification"]["verdict"] == "Smooth"
 
+    def test_sigma_above_the_closed_form_bound(self, capsys, tmp_path):
+        # e = D = 3: the closed form s0 = 0 is below the step threshold 1
+        inst = tmp_path / "e3.json"
+        inst.write_text('{"d": 2, "A": [[0,0],[0,1],[0,2],[0,3],[3,0]]}')
+        code, out, _ = run(capsys, "analyze", str(inst))
+        assert code == 0
+        block = json.loads(out)["sigma"]
+        assert (block["sigma"], block["holes"], block["upper"]) == (1, [], 1)
+
 
 class TestPlot:
     def test_marker_counts(self, capsys, write_instance, quartic):

@@ -2,13 +2,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricreg import (PreconditionError, betti_numbers, homogenize,
+from toricreg import (PreconditionError, betti_numbers, families, homogenize,
                       naive_member, semigroup_member)
 from toricreg.homology import (HOMOLOGY_CACHE_SIZE, _betti_numbers,
                                face_tables_for_level, min_nonzero_degree)
+from toricreg.lattice import _UNSEEN
 from toricreg.oracle import homology_recheck, naive_faces
 
 from instances import FAMILIES, family_instance
@@ -69,6 +70,20 @@ class TestBetti:
     def test_returns_a_fresh_dict(self):
         betti_numbers(HOLLOW_TRIANGLE, 3)[1] = 99
         assert betti_numbers(HOLLOW_TRIANGLE, 3)[1] == 1
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_homology_recheck(self, n, data):
+        # the downward closure of a few random faces
+        tops = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+        faces = frozenset(f for f in range(1 << n)
+                          if any(f & t == f for t in tops))
+        face_list = [tuple(j for j in range(n) if f >> j & 1) for f in faces]
+        for p in (2, 32003):
+            recheck = homology_recheck(face_list, p)
+            assert betti_numbers(faces, n, p) == {
+                i: recheck.get(i, 0) for i in range(-1, n)}, faces
+        assert betti_numbers(faces, n) == betti_numbers(faces, n, 32003)
 
     def test_min_nonzero_degree(self):
         table = sum(1 << m for m in HOLLOW_TRIANGLE)
@@ -142,6 +157,33 @@ class TestFaceComplexes:
                 y = (s * quartic.D - sum(p),) + p
                 expected = sum(1 << m for m in t_faces(quartic, y))
                 assert int(t) == expected
+
+    @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
+           st.sampled_from(["2", "D"]), st.integers(0, 3),
+           st.integers(0, 2**16))
+    @example("one_singular", 3, 4, "D", 3, 0)
+    @example("one_singular", 3, 4, "2", 3, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_face_tables_match_naive_on_families(self, family, d, D, e, s,
+                                                 seed):
+        # e = D puts the singular vertex's weight on the homogenizing bit
+        A = family_instance(family, d, D, D if e == "D" else 2, seed)
+        pts, tables = face_tables_for_level(A, s)
+        rng = random.Random(seed)
+        for r in rng.sample(range(len(pts)), min(len(pts), 4)):
+            p = tuple(int(c) for c in pts[r])
+            y = (s * A.D - sum(p),) + p
+            expected = sum(1 << m for m in t_faces(A, y))
+            assert int(tables[r]) == expected, (A, y)
+
+    def test_first_levels_outside_the_slice(self):
+        A = families.quartic_singular_surface()
+        assert A.first_levels(np.array([[0, 0]])).tolist() == [_UNSEEN]
+        A.level(2)  # the largest slice built: norm <= 8, even
+        rows = [[0, 0], [4, 0], [1, 1],  # levels 0 and 1, and the hole
+                [-1, 3], [1, 2], [6, 4]]  # negative, odd norm, norm 10
+        assert A.first_levels(np.array(rows)).tolist() == [
+            0, 1] + [_UNSEEN] * 4
 
     def test_oracle_recheck(self, even_sextic):
         faces = t_faces(even_sextic, (6, 9, 15))

@@ -26,8 +26,8 @@ def reference_sigma(A):
     t, end = ((b.upper, b.upper) if b.smooth
               else (max(b.t0, 0), max(b.s0, 0)))
     cand = A.slice(t).points_array()
-    holes = frozenset(map(tuple, cand[
-        ~A.level(end).contains_array(cand)].tolist()))
+    A.level(end)
+    holes = frozenset(map(tuple, cand[A.first_levels(cand) > end].tolist()))
     enclosing = max((-(-sum(h) // A.D) for h in holes), default=0)
     fail_max = max((s for s in range(end + 1)
                     if A.level(s).cardinality != A.slice(s).size - sum(
@@ -98,7 +98,6 @@ class TestSigma:
         # level 2 already holds every gap at norm <= 4, and level 3 has
         # the same single gap, so the gaps are final at stop = 3
         assert result.window_verified == (2, 3)
-        assert result.step_verified_at == result.sigma
 
     def test_stops_two_levels_above_sigma(self):
         A = one_singular_random(3, 6, 2, random.Random(3062))
@@ -116,13 +115,23 @@ class TestSigma:
         assert sigma(A).window_verified == (4, 5)
         assert_matches_reference(A)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_step_threshold_above_the_closed_form(self, d):
+        # (d, D, e) = (d, 3, 3): s0 is below lower, so upper is lower
+        result = sigma(one_singular_base(d, 3, 3))
+        assert result.bounds.stable_upper < result.bounds.lower
+        assert result.sigma == result.bounds.upper == result.bounds.lower
+        assert_matches_reference(one_singular_base(d, 3, 3))
+
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
-           st.sampled_from([(2, 4, 2), (2, 6, 3), (3, 4, 2), (2, 4, 4)]),
+           st.sampled_from([(2, 4, 2), (2, 6, 3), (3, 4, 2), (2, 4, 4),
+                            (2, 3, 3), (3, 3, 3)]),
            st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_matches_the_full_window_on_families(self, family, d, D, cell,
                                                  seed):
-        # one-singular cells with a small s0 = (D/e) * t0
+        # one-singular cells with a small s0 = (D/e) * t0; in the last
+        # two, s0 is below the step threshold
         if family == "one_singular":
             d, D, e = cell
         else:
