@@ -16,8 +16,7 @@ from .regularity import (DegreeResult, RegularityResult, degree, eg_check,
                          eg_inequality_suite, herzog_hibi_bound,
                          one_singular_bound, reg, sizeA_bound)
 from .sumsets import (HoleSet, SigmaBounds, SigmaResult, compute_holes,
-                      normalize_singular_vertex, sigma, sigma_bounds,
-                      verify_sigma_bounds)
+                      sigma, sigma_bounds, verify_sigma_bounds)
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "ToricRegError", "UnsupportedInstanceError", "betti_numbers",
     "classify", "compute_holes", "degree", "eg_check", "eg_inequality_suite",
     "herzog_hibi_bound", "hilbert_function", "homogenize", "is_chart_smooth",
-    "naive_member", "naive_sumset", "norm", "normalize_singular_vertex",
+    "naive_member", "naive_sumset", "norm",
     "one_singular_bound", "reduce_e_equals_D", "reg",
     "semigroup_member", "sigma", "sigma_bounds", "sizeA_bound",
     "step_equality_holds", "step_threshold", "verify_sigma_bounds",

@@ -20,7 +20,6 @@ from typing import Optional
 
 from .errors import CertificationError, InvalidInstanceError
 from .lattice import GeneratorSet, Point, homogenize, norm, unit
-from .linalg import bareiss_rank
 
 SMOOTH = "Smooth"
 ONE_SINGULAR = "OneSingular"
@@ -88,18 +87,23 @@ class AffineChart:
                 minimal.append(g)
         return tuple(minimal)
 
-    def rank(self) -> int:
-        return bareiss_rank([list(g) for g in self.generators])
-
 
 def is_chart_smooth(chart: AffineChart) -> bool:
-    """Smooth iff the minimal generating set has rank-many elements."""
-    return len(chart.minimal_generators()) == chart.rank()
+    """Smooth iff the minimal generating set has rank-many elements.
+
+    The rank is d: the generators hold D*e_j for every chart coordinate.
+    """
+    return len(chart.minimal_generators()) == len(chart.generators[0])
 
 
 @dataclass
 class ClassificationReport:
+    """``instance`` is the generator set with its singular vertex at
+    homogenized coordinate 0, where sigma and reg compute; it is the
+    classified set itself unless that vertex was elsewhere."""
+
     verdict: str
+    instance: GeneratorSet
     e: Optional[int] = None
     singular_vertex: Optional[int] = None
     certificates: dict = field(default_factory=dict)
@@ -197,14 +201,31 @@ def classify(A: GeneratorSet) -> ClassificationReport:
             f"generator criterion says neither smooth nor one-singular "
             f"but non-smooth charts are {non_smooth}")
 
-    report = ClassificationReport(verdict, e, vertex, certs)
+    report = ClassificationReport(verdict, _vertex_to_zero(A, vertex), e,
+                                  vertex, certs)
     if verdict == ONE_SINGULAR and e == A.D:
-        report.reduced = reduce_e_equals_D(A, vertex)
+        report.reduced = reduce_e_equals_D(report.instance)
     return report
 
 
-def reduce_e_equals_D(A: GeneratorSet, vertex: int = 0) -> Optional[GeneratorSet]:
-    """Dimension-drop for the e = D case.
+def _vertex_to_zero(A: GeneratorSet, k: Optional[int]) -> GeneratorSet:
+    """A with homogenized coordinates 0 and k swapped.
+
+    The sumset formulas assume e divides every generator norm, which pins
+    the singular vertex to the homogenizing coordinate.
+    """
+    if not k:
+        return A
+    swapped = []
+    for b in homogenize(A):
+        c = list(b)
+        c[0], c[k] = c[k], c[0]
+        swapped.append(tuple(c[1:]))
+    return GeneratorSet(A.d, swapped, A.max_slice_size)
+
+
+def reduce_e_equals_D(A: GeneratorSet) -> Optional[GeneratorSet]:
+    """Dimension-drop for the e = D case, singular vertex at coordinate 0.
 
     When every non-axis generator avoids the singular vertex coordinate,
     the configuration splits off an isolated vertex; dropping it (and one
@@ -212,13 +233,8 @@ def reduce_e_equals_D(A: GeneratorSet, vertex: int = 0) -> Optional[GeneratorSet
     set one dimension down with the same regularity.  Returns None in the
     degenerate case d = 1, where the reduction is empty and reg is 0.
     """
-    d1 = A.d + 1
-    D = A.D
-    B = [list(b) for b in homogenize(A)]
-    for b in B:
-        b[0], b[vertex] = b[vertex], b[0]
-    vertex_gen = [D] + [0] * A.d
-    rest = [b for b in B if b != vertex_gen]
+    vertex_gen = (A.D,) + (0,) * A.d
+    rest = [b for b in homogenize(A) if b != vertex_gen]
     if any(b[0] != 0 for b in rest):
         raise CertificationError(
             "e = D reduction requires every other generator to avoid the "

@@ -37,7 +37,18 @@ def load_instance(path: str, max_slice: int) -> GeneratorSet:
         data = json.load(fh)
     if not isinstance(data, dict) or "d" not in data or "A" not in data:
         raise InvalidInstanceError('instance JSON needs keys "d" and "A"')
-    return GeneratorSet(int(data["d"]), data["A"], max_slice)
+    d, points = data["d"], data["A"]
+    # json.load gives int for integer literals only; bool is not accepted
+    if type(d) is not int:
+        raise InvalidInstanceError(f'"d" must be an integer, got {d!r}')
+    if not isinstance(points, list):
+        raise InvalidInstanceError(
+            f'"A" must be a list of points, got {points!r}')
+    for p in points:
+        if not isinstance(p, list) or any(type(c) is not int for c in p):
+            raise InvalidInstanceError(
+                f"point {p!r} is not a list of integers")
+    return GeneratorSet(d, points, max_slice)
 
 
 def instance_dict(A: GeneratorSet) -> dict:

@@ -168,7 +168,8 @@ class GeneratorSet:
     D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).
     Sumset levels are built on demand and kept: ``_first[r]`` is the first
     level holding the point of rank r, and ``_new[s]`` the points of
-    sA \\ (s-1)A.
+    sA \\ (s-1)A.  ``level`` returns a fresh view, so no level refers
+    back to a set that holds it and a dropped set is freed at once.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],
@@ -205,7 +206,6 @@ class GeneratorSet:
                     f"generator set must contain {self.D}*e_{i + 1}")
         self.e = gcd(self.D, *(norm(p) for p in self.points if norm(p)))
         self.max_slice_size = max_slice_size
-        self._levels: list[SumsetLevel] = []
         self._slices: dict[int, SimplexSlice] = {}
         self._first = np.zeros(0, dtype=np.int32)
         self._new: list[np.ndarray] = []
@@ -227,9 +227,9 @@ class GeneratorSet:
     def level(self, s: int) -> SumsetLevel:
         if s < 0:
             raise PreconditionError("level must be >= 0")
-        while len(self._levels) <= s:
-            self._levels.append(self._next_level())
-        return self._levels[s]
+        while len(self._new) <= s:
+            self._next_level()
+        return SumsetLevel(self, s)
 
     def first_levels(self, points: np.ndarray) -> np.ndarray:
         """First level holding each row of an (n, d) array of points.
@@ -242,9 +242,9 @@ class GeneratorSet:
         """
         pts = np.asarray(points, dtype=np.int64)
         out = np.full(pts.shape[0], _UNSEEN, dtype=np.int32)
-        if not self._levels:
+        if not self._new:
             return out
-        sl = self.slice(len(self._levels) - 1)
+        sl = self.slice(len(self._new) - 1)
         norms = pts.sum(axis=1)
         ok = (pts >= 0).all(axis=1) & (norms <= sl.N) & (norms % self.e == 0)
         out[ok] = self._first[sl.rank_array(pts[ok], validate=False)]
@@ -253,7 +253,7 @@ class GeneratorSet:
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
         in A, sA = (s-1)A + A = (s-1)A | (F + A)."""
-        s = len(self._levels)
+        s = len(self._new)
         sl = self.slice(s)
         if s == 0:
             cand = np.zeros((1, self.d), dtype=np.int64)

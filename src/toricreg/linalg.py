@@ -8,9 +8,7 @@ subdeterminants.
 
 from __future__ import annotations
 
-import itertools
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 
 def _to_rows(M) -> list[list[int]]:
@@ -95,22 +93,26 @@ def rank_mod_p(M, p: int) -> int:
     return rank
 
 
-def gcd_of_maximal_minors(M, early_exit: Optional[int] = None) -> int:
-    """gcd of all k x k minors of a k x n integer matrix (k <= n).
+def gcd_of_maximal_minors(columns: Sequence[Sequence[int]], D: int) -> int:
+    """gcd of the k x k minors of the k x n integer matrix whose columns are
+    ``columns`` together with D*e_0, ..., D*e_(k-1).
 
-    Column subsets are visited in lexicographic order, so putting
-    well-chosen columns first keeps the running gcd small early.  When
-    ``early_exit`` is given and the running gcd reaches it (a proven
-    lower bound), the scan stops.
+    That gcd is the index of the lattice L the columns span in Z^k, and
+    D*Z^k lies in L, so entries are kept mod D.  For each coordinate i in
+    turn, Euclid's algorithm on the i-th entries, starting from the pivot
+    D*e_i, leaves a pivot whose entry g_i is their gcd with D and clears
+    entry i of every other vector.  The pivots form a triangular basis of
+    L, so the index is the product of the g_i.
     """
-    rows = _to_rows(M)
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
-    assert k <= n
-    g = 0
-    for cols in itertools.combinations(range(n), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        g = gcd(g, bareiss_det(sub))
-        if g == 1 or (early_exit is not None and g == early_exit):
-            break
-    return g
+    vecs = [[x % D for x in col] for col in columns]
+    k = len(vecs[0])
+    theta = 1
+    for i in range(k):
+        pivot = [D if j == i else 0 for j in range(k)]
+        for n, v in enumerate(vecs):
+            while v[i]:
+                q = pivot[i] // v[i]
+                pivot, v = v, [(a - q * b) % D for a, b in zip(pivot, v)]
+            vecs[n] = v
+        theta *= pivot[i]
+    return theta

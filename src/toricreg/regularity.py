@@ -18,12 +18,11 @@ import numpy as np
 
 from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
                        classify)
-from .errors import (CertificationError, InvalidInstanceError,
-                     UnsupportedInstanceError)
+from .errors import CertificationError, UnsupportedInstanceError
 from .homology import FieldTag, face_tables_for_level, min_nonzero_degree
 from .lattice import GeneratorSet, Point, homogenize, norm, unit
 from .linalg import gcd_of_maximal_minors
-from .sumsets import SigmaResult, normalize_singular_vertex, sigma
+from .sumsets import SigmaResult, sigma, sigma_bounds
 
 
 @dataclass
@@ -56,22 +55,12 @@ def degree(A: GeneratorSet,
            report: Optional[ClassificationReport] = None) -> DegreeResult:
     """degree = D^{d+1} / theta with theta the gcd of maximal minors.
 
-    The axis columns come first, so the very first minor is D^{d+1} and
-    the running gcd starts small.  Column sums all equal D, hence D
-    divides every minor; for one-singular instances the divisor floor
-    improves to D*e and the result is cross-checked against D^d / e.
+    theta is computed as the index of the lattice the homogenized
+    generators span.  For one-singular instances the degree is
+    cross-checked against D^d / e.
     """
     d, D = A.d, A.D
-    cols = sorted(homogenize(A),
-                  key=lambda b: (max(b) != D, b))
-    M = [[b[i] for b in cols] for i in range(d + 1)]
-    floor = D
-    if report is not None and report.verdict == ONE_SINGULAR:
-        floor = D * report.e
-    theta = gcd_of_maximal_minors(M, early_exit=floor)
-    theta = abs(theta)
-    if theta == 0:
-        raise InvalidInstanceError("all maximal minors vanish")
+    theta = gcd_of_maximal_minors(homogenize(A), D)
     if D ** (d + 1) % theta:
         raise CertificationError(f"theta {theta} does not divide D^(d+1)")
     deg = D ** (d + 1) // theta
@@ -115,7 +104,7 @@ def reg(A: GeneratorSet,
     ``cutoff`` level yields an honest lower bound instead.
     """
     report = report or classify(A)
-
+    A = report.instance
     if report.verdict == OTHER:
         if cutoff is None:
             raise UnsupportedInstanceError(
@@ -124,8 +113,6 @@ def reg(A: GeneratorSet,
         best = _sweep(A, cutoff, field)
         value, y, i = best if best else (0, (0,) * (A.d + 1), -1)
         return RegularityResult(value, y, i, cutoff * A.D, "lower-bound")
-
-    A, report = normalize_singular_vertex(A, report)
 
     if report.verdict == ONE_SINGULAR and report.e == A.D:
         reduced = report.reduced
@@ -160,47 +147,38 @@ def reg(A: GeneratorSet,
                             sigma=sg)
 
 
-def herzog_hibi_bound(A: GeneratorSet,
-                      report: Optional[ClassificationReport] = None,
-                      reg_result: Optional[RegularityResult] = None) -> dict:
-    """reg <= d(D-2) for D >= 3, reg <= ceil(d/2) for D = 2 (smooth)."""
-    report = report or classify(A)
-    if report.verdict != SMOOTH:
-        raise UnsupportedInstanceError("bound applies to smooth instances")
+def _bound_check(A: GeneratorSet, report: ClassificationReport,
+                 reg_result: Optional[RegularityResult], verdict: str,
+                 shift: int) -> dict:
+    """reg against the stable-level bound of SigmaBounds, plus ``shift``."""
+    if report.verdict != verdict:
+        raise UnsupportedInstanceError(f"bound applies to {verdict} "
+                                       f"instances")
     if reg_result is None:
         reg_result = reg(A, report)
-    d, D = A.d, A.D
-    bound = d * (D - 2) if D >= 3 else -(-d // 2)
+    bound = sigma_bounds(A, report).stable_upper + shift
     out = {"reg": reg_result.reg, "bound": bound,
            "holds": reg_result.reg <= bound,
            "slack": bound - reg_result.reg}
     if not out["holds"]:
-        raise CertificationError(f"smooth regularity bound violated: {out}")
+        raise CertificationError(f"{verdict} regularity bound violated: "
+                                 f"{out}")
     return out
+
+
+def herzog_hibi_bound(A: GeneratorSet,
+                      report: Optional[ClassificationReport] = None,
+                      reg_result: Optional[RegularityResult] = None) -> dict:
+    """reg <= d(D-2) for D >= 3, reg <= ceil(d/2) for D = 2 (smooth)."""
+    return _bound_check(A, report or classify(A), reg_result, SMOOTH, 0)
 
 
 def one_singular_bound(A: GeneratorSet,
                        report: Optional[ClassificationReport] = None,
                        reg_result: Optional[RegularityResult] = None) -> dict:
     """reg <= (D/e)[(d-1)(D-2)+D/e-2] + 1 for D >= 3, ceil((d-1)/2) for D=2."""
-    report = report or classify(A)
-    if report.verdict != ONE_SINGULAR:
-        raise UnsupportedInstanceError("bound applies to one-singular "
-                                       "instances")
-    if reg_result is None:
-        reg_result = reg(A, report)
-    d, D, e = A.d, A.D, report.e
-    if D >= 3:
-        bound = (D // e) * ((d - 1) * (D - 2) + D // e - 2) + 1
-    else:
-        bound = -(-(d - 1) // 2)
-    out = {"reg": reg_result.reg, "bound": bound,
-           "holds": reg_result.reg <= bound,
-           "slack": bound - reg_result.reg}
-    if not out["holds"]:
-        raise CertificationError(f"one-singular regularity bound violated: "
-                                 f"{out}")
-    return out
+    return _bound_check(A, report or classify(A), reg_result, ONE_SINGULAR,
+                        1 if A.D >= 3 else 0)
 
 
 def eg_check(A: GeneratorSet,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import ONE_SINGULAR, SMOOTH, ClassificationReport, classify
 from .errors import CertificationError, UnsupportedInstanceError
-from .lattice import (GeneratorSet, Point, hilbert_function, homogenize,
+from .lattice import (GeneratorSet, Point, hilbert_function,
                       step_equality_holds, step_threshold)
 
 
@@ -81,27 +81,6 @@ def _require_supported(report: ClassificationReport) -> None:
             "instances")
 
 
-def normalize_singular_vertex(A: GeneratorSet, report: ClassificationReport):
-    """Permute coordinates so the singular vertex is the homogenizing one.
-
-    The sumset formulas assume e divides every generator norm, which pins
-    the singular vertex to the homogenizing coordinate; other vertices
-    are handled by swapping homogenized coordinates 0 and k.
-    """
-    k = report.singular_vertex
-    if report.verdict != ONE_SINGULAR or k == 0:
-        return A, report
-    swapped = []
-    for b in homogenize(A):
-        c = list(b)
-        c[0], c[k] = c[k], c[0]
-        swapped.append(tuple(c[1:]))
-    A2 = GeneratorSet(A.d, swapped, A.max_slice_size)
-    report2 = ClassificationReport(ONE_SINGULAR, report.e, 0,
-                                   report.certificates, report.reduced)
-    return A2, report2
-
-
 def sigma_bounds(A: GeneratorSet,
                  report: Optional[ClassificationReport] = None) -> SigmaBounds:
     report = report or classify(A)
@@ -143,7 +122,7 @@ def sigma(A: GeneratorSet,
     """
     report = report or classify(A)
     _require_supported(report)
-    A, report = normalize_singular_vertex(A, report)
+    A = report.instance
     bounds = SigmaBounds(A.d, A.D, report.e, report.verdict == SMOOTH)
 
     start = max(bounds.lower, 1)

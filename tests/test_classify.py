@@ -94,8 +94,8 @@ class TestEEqualsDReduction:
         A = GeneratorSet(1, [(0,), (3,)])
         with pytest.raises(InvalidInstanceError):
             classify(A)
-        assert reduce_e_equals_D(A, 0) is None
+        assert reduce_e_equals_D(A) is None
 
     def test_reduction_precondition(self, quartic):
         with pytest.raises(CertificationError):
-            reduce_e_equals_D(quartic, 0)
+            reduce_e_equals_D(quartic)

@@ -59,6 +59,24 @@ class TestExitCodes:
         bad.write_text('{"d": 2, "A": [[0, 0], [4, 0]]}')
         assert run(capsys, "analyze", str(bad))[0] == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"d": 2, "A": 5}',
+        '{"d": 2, "A": [[0, 0], [1, 0], [2, 0], [0, 1], [1, null], [0, 2]]}',
+        '{"d": 2, "A": [[0, 0], [1, 0], [2, 0], [0, 1], [1.7, 1], [0, 2]]}',
+        '{"d": 2, "A": [[0, 0], [1, 0], [2, 0], [0, 1], "11", [0, 2]]}',
+        '{"d": 2, "A": [[0, 0], [1, 0], [2, 0], [0, 1], [true, 1], [0, 2]]}',
+        '{"d": 2.9, "A": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]]}',
+        '{"d": true, "A": [[0], [1], [2]]}',
+    ], ids=["A-not-a-list", "null-coordinate", "float-coordinate",
+            "string-point", "bool-coordinate", "float-d", "bool-d"])
+    def test_malformed_instance_rejected(self, capsys, tmp_path, text):
+        # each one would otherwise crash or be analyzed as a Veronese set
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_unsupported_without_cutoff(self, capsys, tmp_path):
         other = tmp_path / "other.json"
         other.write_text('{"d": 2, "A": [[0,0],[3,0],[0,3],[1,1]]}')

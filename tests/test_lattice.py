@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -131,6 +133,19 @@ class TestGeneratorSet:
         A.level(2)
         assert len(A._first) == A.slice(2).size
         assert [len(f) for f in A._new] == [1, 6, 17]
+
+    def test_dropped_set_is_freed_without_the_cycle_collector(self, quartic):
+        # a level view must not be kept by its generator set: a reference
+        # cycle would hold every level array until a collector pass
+        A = GeneratorSet(quartic.d, quartic.points)
+        A.level(3)
+        ref = weakref.ref(A)
+        gc.disable()
+        try:
+            del A
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_levels_match_naive_sumsets(self, quartic):
         for s in range(5):

@@ -1,16 +1,41 @@
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
                       degree, eg_check, eg_inequality_suite,
-                      herzog_hibi_bound, one_singular_bound, reg, sigma,
-                      sizeA_bound)
+                      herzog_hibi_bound, homogenize, one_singular_bound, reg,
+                      sigma, sizeA_bound)
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
+from toricreg.lattice import naive_slice_points, unit
+from toricreg.linalg import bareiss_det
+
+from instances import FAMILIES, family_instance
+
+
+def minors_gcd(A):
+    """gcd of the determinants of every d+1 homogenized generators."""
+    g = 0
+    for cols in itertools.combinations(homogenize(A), A.d + 1):
+        g = gcd(g, bareiss_det(cols))
+    return g
+
+
+@st.composite
+def arbitrary_sets(draw):
+    """The origin, every D*e_i and up to 8 more points of norm <= D."""
+    d, D = draw(st.integers(1, 3)), draw(st.integers(2, 7))
+    required = {(0,) * d} | {unit(d, i, D) for i in range(d)}
+    pool = sorted(naive_slice_points(d, D) - required)
+    extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    return GeneratorSet(d, required | set(extra))
 
 
 class TestDegree:
@@ -29,6 +54,23 @@ class TestDegree:
 
     def test_codim(self, quartic):
         assert degree(quartic).codim == len(quartic.points) - 3
+
+    @given(st.sampled_from(FAMILIES),
+           st.sampled_from([(d, D) for d in (1, 2) for D in range(2, 8)]
+                           + [(3, D) for D in (2, 3, 4)]),
+           st.sampled_from([1, 2, 3]), st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_theta_is_the_minors_gcd_on_families(self, family, cell, e,
+                                                 seed):
+        # d = 3 stops at D = 4: veronese(3, 5) has C(56, 4) minors
+        A = family_instance(family, *cell, e, seed)
+        assert degree(A, classify(A)).theta == minors_gcd(A)
+
+    @given(arbitrary_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_theta_is_the_minors_gcd_on_arbitrary_sets(self, A):
+        # most draws are neither smooth nor one-singular
+        assert degree(A).theta == minors_gcd(A)
 
 
 class TestReg:

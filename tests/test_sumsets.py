@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
                       compute_holes, sigma, sigma_bounds, verify_sigma_bounds)
+from toricreg.cli import analysis_bundle
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, veronese)
 from toricreg.lattice import naive_slice_points
-from toricreg.sumsets import normalize_singular_vertex
 
 from instances import FAMILIES, family_instance
 
@@ -21,7 +21,8 @@ def reference_sigma(A):
     when smooth, where saturation at upper means H is empty), and sigma
     follows from the cardinalities of every level up to there.
     """
-    A, report = normalize_singular_vertex(A, classify(A))
+    report = classify(A)
+    A = report.instance
     b = sigma_bounds(A, report)
     t, end = ((b.upper, b.upper) if b.smooth
               else (max(b.t0, 0), max(b.s0, 0)))
@@ -103,7 +104,7 @@ class TestSigma:
         A = one_singular_random(3, 6, 2, random.Random(3062))
         assert classify(A).singular_vertex == 0  # sigma works on A itself
         result = sigma(A)
-        top = len(A._levels) - 1  # the highest level built
+        top = len(A._new) - 1  # the highest level built
         assert top <= result.sigma + 2
         assert result.window_verified == (result.sigma, top)
 
@@ -169,12 +170,30 @@ class TestVertexNormalization:
         A2 = GeneratorSet(2, swapped)
         report2 = classify(A2)
         assert report2.singular_vertex == 1
-        A3, report3 = normalize_singular_vertex(A2, report2)
-        assert report3.singular_vertex == 0
-        assert sigma(A3).sigma == sigma(A).sigma
+        assert report2.instance == A
+        assert classify(A).instance is A
+        assert sigma(A2).sigma == sigma(A).sigma
 
     def test_sigma_transparent_for_shifted_vertex(self):
         A = one_singular_base(2, 6, 2)
         swapped = [(6 - sum(p), p[1]) for p in A.points]
         A2 = GeneratorSet(2, swapped)
         assert sigma(A2).sigma == sigma(A).sigma
+
+    def test_each_level_built_once_off_vertex(self, monkeypatch):
+        # the first criterion-6 (3, 6, 2) instance with its singular vertex
+        # moved to coordinate 1: sigma and reg share one normalized instance
+        A = one_singular_random(3, 6, 2, random.Random(3062))
+        A1 = GeneratorSet(3, [(6 - sum(p),) + p[1:] for p in A.points])
+        assert classify(A1).singular_vertex == 1
+        built = []
+        next_level = GeneratorSet._next_level
+
+        def record(self):
+            built.append((id(self), len(self._new)))
+            return next_level(self)
+
+        monkeypatch.setattr(GeneratorSet, "_next_level", record)
+        analysis_bundle(A1, "q", None)
+        assert len({a for a, _ in built}) == 1
+        assert [s for _, s in built] == list(range(len(built)))
