@@ -137,10 +137,10 @@ def _check_primitive(A: GeneratorSet) -> None:
             f"configuration through by it and retry")
 
 
-def _smooth_required(d1: int, D: int) -> list[Point]:
-    return [tuple((D - 1 if t == i else 0) + (1 if t == j else 0)
-                  for t in range(d1))
-            for i in range(d1) for j in range(d1) if i != j]
+def _corner(d1: int, D: int, i: int, j: int) -> Point:
+    """The vector (D-1)e_i + e_j in N^d1."""
+    return tuple((D - 1 if t == i else 0) + (1 if t == j else 0)
+                 for t in range(d1))
 
 
 def _generator_verdict(A: GeneratorSet):
@@ -149,16 +149,14 @@ def _generator_verdict(A: GeneratorSet):
     D = A.D
     B = set(homogenize(A))
 
-    required = _smooth_required(d1, D)
+    required = [_corner(d1, D, i, j)
+                for i in range(d1) for j in range(d1) if i != j]
     if all(v in B for v in required):
         return SMOOTH, 1, None, {"smooth_vectors": required}
 
     for k in range(d1):
         others = [i for i in range(d1) if i != k]
-        off_vertex = [
-            tuple((D - 1 if t == i else 0) + (1 if t == j else 0)
-                  for t in range(d1))
-            for i in others for j in others if i != j]
+        off_vertex = [v for v in required if v[k] == 0]
         if not all(v in B for v in off_vertex):
             continue
         e = gcd(D, *(b[k] for b in B))
@@ -169,9 +167,7 @@ def _generator_verdict(A: GeneratorSet):
             continue
         certs = {"off_vertex_vectors": off_vertex, "edge_vectors": edge}
         if e == 1:
-            missing = [j for j in others
-                       if tuple((D - 1 if t == k else 0) + (1 if t == j else 0)
-                                for t in range(d1)) not in B]
+            missing = [j for j in others if _corner(d1, D, k, j) not in B]
             if not missing:
                 continue  # would be smooth, contradiction caught below
             certs["missing_unit_witness"] = missing[0]

@@ -104,9 +104,9 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
         raise UnsupportedInstanceError("plots are only available for d = 2")
     lvl = A.level(s)
     members = lvl.point_set()
-    N = lvl.slice.N
+    sl = A.slice(s)
     scale, margin, r = 24, 30, 5
-    size = 2 * margin + scale * max(N, 1)
+    size = 2 * margin + scale * max(sl.N, 1)
 
     def xy(p):
         return margin + scale * p[0], size - margin - scale * p[1]
@@ -115,8 +115,8 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
            f'width="{size}" height="{size}" '
            f'viewBox="0 0 {size} {size}">',
            f'<text x="{margin}" y="16" font-size="12">'
-           f's={s}, |sA|={lvl.cardinality}, slice={lvl.slice.size}</text>']
-    for p in _colex(lvl.slice.points_array()):
+           f's={s}, |sA|={lvl.cardinality}, slice={sl.size}</text>']
+    for p in _colex(sl.points_array()):
         x, y = xy(p)
         if p in members:
             out.append(f'<circle cx="{x}" cy="{y}" r="{r}" fill="black"/>')

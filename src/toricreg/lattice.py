@@ -5,9 +5,11 @@ of lattice points of bounded coordinate sum (optionally restricted to sums
 divisible by ``e``), ranked by norm first and colexicographically inside a
 norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
 rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
-engine: it records for each rank the first level s with the point in sA.
-Its ``first_levels`` reads that record and is the engine's one membership
-query, and its ``SumsetLevel`` objects are views of the same record.
+engine: it records for each rank the first level s with the point in sA,
+and keeps one slice, that of its top built level, whose rank tables serve
+every level below.  Its ``first_levels`` reads that record and is the
+engine's one membership query, and its ``SumsetLevel`` objects are views
+of the same record that take their slice sizes from the closed form.
 """
 
 from __future__ import annotations
@@ -145,12 +147,16 @@ class SumsetLevel:
     def __init__(self, A: GeneratorSet, s: int):
         self._A = A
         self.s = s
-        self.slice = A.slice(s)
         self.cardinality = sum(len(new) for new in A._new[:s + 1])
+
+    @property
+    def size(self) -> int:
+        """|slice(s)|, from the closed form."""
+        return slice_size(self._A.d, self.s * self._A.D, self._A.e)
 
     def gaps(self) -> np.ndarray:
         """Ascending ranks of the points of slice(s) \\ sA."""
-        return np.flatnonzero(self._A._first[:self.slice.size] > self.s)
+        return np.flatnonzero(self._A._first[:self.size] > self.s)
 
     @property
     def points(self) -> np.ndarray:
@@ -168,8 +174,10 @@ class GeneratorSet:
     D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).
     Sumset levels are built on demand and kept: ``_first[r]`` is the first
     level holding the point of rank r, and ``_new[s]`` the points of
-    sA \\ (s-1)A.  ``level`` returns a fresh view, so no level refers
-    back to a set that holds it and a dropped set is freed at once.
+    sA \\ (s-1)A.  The set keeps one ``SimplexSlice``, ``_top``, the slice
+    of the top built level: every slice below is a prefix of it with the
+    same ranks.  ``level`` returns a fresh view, so no level refers back
+    to a set that holds it and a dropped set is freed at once.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],
@@ -206,21 +214,13 @@ class GeneratorSet:
                     f"generator set must contain {self.D}*e_{i + 1}")
         self.e = gcd(self.D, *(norm(p) for p in self.points if norm(p)))
         self.max_slice_size = max_slice_size
-        self._slices: dict[int, SimplexSlice] = {}
+        self._top: SimplexSlice | None = None
         self._first = np.zeros(0, dtype=np.int32)
         self._new: list[np.ndarray] = []
 
-    # -- derived data ---------------------------------------------------
-
-    @property
-    def n_plus_1(self) -> int:
-        return len(self.points)
-
     def slice(self, s: int) -> SimplexSlice:
-        if s not in self._slices:
-            self._slices[s] = SimplexSlice(self.d, self.D, s, self.e,
-                                           self.max_slice_size)
-        return self._slices[s]
+        """A new slice(s) with this set's parameters; nothing is cached."""
+        return SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
 
     # -- sumsets --------------------------------------------------------
 
@@ -242,9 +242,9 @@ class GeneratorSet:
         """
         pts = np.asarray(points, dtype=np.int64)
         out = np.full(pts.shape[0], _UNSEEN, dtype=np.int32)
-        if not self._new:
+        sl = self._top
+        if sl is None:
             return out
-        sl = self.slice(len(self._new) - 1)
         norms = pts.sum(axis=1)
         ok = (pts >= 0).all(axis=1) & (norms <= sl.N) & (norms % self.e == 0)
         out[ok] = self._first[sl.rank_array(pts[ok], validate=False)]
@@ -267,6 +267,7 @@ class GeneratorSet:
         uniq, index = np.unique(ranks[fresh], return_index=True)
         first[uniq] = s
         self._first = first
+        self._top = sl
         self._new.append(cand[fresh][index])
         return SumsetLevel(self, s)
 
@@ -320,13 +321,3 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
         shifted[:, i] += D
         covered[hi.rank_array(shifted, validate=False)] = True
     return bool(covered.all())
-
-
-def naive_slice_points(d: int, N: int, e: int = 1) -> set[Point]:
-    """Brute-force enumeration of {y in N^d : |y| <= N, e | |y|} (test aid)."""
-    out = set()
-    for p in itertools.product(range(N + 1), repeat=d):
-        t = sum(p)
-        if t <= N and t % e == 0:
-            out.add(p)
-    return out

@@ -1,10 +1,10 @@
 """Brute-force reference implementations for the test suite.
 
 These deliberately share nothing with the main pipeline beyond plain
-tuples: sumsets by multiset enumeration, semigroup elements by
-dynamic programming, the complexes T_y by one membership query per
-vertex subset, and homology by an independent modular Gaussian
-elimination on explicitly listed faces.
+tuples: sumsets by multiset enumeration, simplex slices by enumerating
+a box, semigroup elements by dynamic programming, the complexes T_y by
+one membership query per vertex subset, and homology by an independent
+modular Gaussian elimination on explicitly listed faces.
 """
 
 from __future__ import annotations
@@ -32,6 +32,16 @@ def naive_sumset(points: Iterable[Sequence[int]], s: int) -> set[Vec]:
     for combo in itertools.combinations_with_replacement(pts, s):
         out.add(tuple(sum(c) for c in zip(*combo)) if combo
                 else (0,) * len(pts[0]))
+    return out
+
+
+def naive_slice_points(d: int, N: int, e: int = 1) -> set[Vec]:
+    """All y in N^d with |y| <= N and e | |y|, by enumerating the box."""
+    out = set()
+    for p in itertools.product(range(N + 1), repeat=d):
+        t = sum(p)
+        if t <= N and t % e == 0:
+            out.add(p)
     return out
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
                        classify)
-from .errors import CertificationError, UnsupportedInstanceError
+from .errors import (CertificationError, PreconditionError,
+                     UnsupportedInstanceError)
 from .homology import FieldTag, face_tables_for_level, min_nonzero_degree
 from .lattice import GeneratorSet, Point, homogenize, norm, unit
 from .linalg import gcd_of_maximal_minors
@@ -110,6 +111,8 @@ def reg(A: GeneratorSet,
             raise UnsupportedInstanceError(
                 "no certified cutoff outside the smooth/one-singular "
                 "families; pass an explicit cutoff for a lower bound")
+        if cutoff < 0:
+            raise PreconditionError(f"cutoff must be >= 0 (got {cutoff})")
         best = _sweep(A, cutoff, field)
         value, y, i = best if best else (0, (0,) * (A.d + 1), -1)
         return RegularityResult(value, y, i, cutoff * A.D, "lower-bound")

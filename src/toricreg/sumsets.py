@@ -74,17 +74,13 @@ class SigmaResult:
         }
 
 
-def _require_supported(report: ClassificationReport) -> None:
+def sigma_bounds(A: GeneratorSet,
+                 report: Optional[ClassificationReport] = None) -> SigmaBounds:
+    report = report or classify(A)
     if report.verdict not in (SMOOTH, ONE_SINGULAR):
         raise UnsupportedInstanceError(
             "sumsets regularity is only defined for smooth or one-singular "
             "instances")
-
-
-def sigma_bounds(A: GeneratorSet,
-                 report: Optional[ClassificationReport] = None) -> SigmaBounds:
-    report = report or classify(A)
-    _require_supported(report)
     return SigmaBounds(A.d, A.D, report.e, report.verdict == SMOOTH)
 
 
@@ -121,9 +117,8 @@ def sigma(A: GeneratorSet,
     every level the argument uses.
     """
     report = report or classify(A)
-    _require_supported(report)
     A = report.instance
-    bounds = SigmaBounds(A.d, A.D, report.e, report.verdict == SMOOTH)
+    bounds = sigma_bounds(A, report)
 
     start = max(bounds.lower, 1)
     # if sigma <= upper, the stop rule fires by this level
@@ -131,7 +126,7 @@ def sigma(A: GeneratorSet,
     prev = A.level(start).gaps()
     for stop in range(start + 1, last + 1):
         gaps = A.level(stop).gaps()
-        settled = not len(prev) or prev[-1] < A.slice(stop - 2).size
+        settled = not len(prev) or prev[-1] < A.level(stop - 2).size
         if settled and len(gaps) == len(prev):
             break
         prev = gaps
@@ -152,7 +147,7 @@ def sigma(A: GeneratorSet,
             f"a hole has norm {int(norms.max())} > t0*D = {bounds.t0 * A.D}")
     holes = HoleSet(frozenset(map(tuple, points.tolist())), enclosing)
 
-    sizes = np.array([A.slice(s).size for s in range(stop + 1)])
+    sizes = np.array([A.level(s).size for s in range(stop + 1)])
     stable = sizes - np.searchsorted(gaps, sizes)
     failing = np.flatnonzero(np.array(hilbert_function(A, stop)) != stable)
     stable_at = max(enclosing, int(failing[-1]) + 1 if len(failing) else 0)

@@ -26,8 +26,8 @@ from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
                                smooth_random_superset, veronese)
 from toricreg.homology import face_tables_for_level
-from toricreg.lattice import naive_slice_points, unit
-from toricreg.oracle import homology_recheck, naive_faces
+from toricreg.lattice import unit
+from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
 
 
 # --------------------------------------------------------------------------

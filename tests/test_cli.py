@@ -85,6 +85,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["regularity"]["method"] == "lower-bound"
 
+    @pytest.mark.parametrize("command", ["reg", "analyze"])
+    def test_negative_cutoff_rejected(self, capsys, tmp_path, command):
+        other = tmp_path / "other.json"
+        other.write_text('{"d": 2, "A": [[0,0],[3,0],[0,3],[1,1]]}')
+        code, _, err = run(capsys, "--cutoff", "-3", command, str(other))
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_resource_cap(self, capsys, write_instance, quartic):
         path = write_instance(quartic)
         assert run(capsys, "--max-slice", "4", "sigma", path)[0] == 2

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
                       ResourceLimitError, hilbert_function, homogenize,
                       naive_sumset, step_equality_holds, step_threshold)
-from toricreg.lattice import (SimplexSlice, naive_slice_points, norm,
-                              slice_size, unit)
-from toricreg.oracle import MAX_NAIVE_GENERATORS
+from toricreg.families import minimal_smooth
+from toricreg.lattice import SimplexSlice, norm, slice_size, unit
+from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
 
 from instances import FAMILIES, family_instance
 
@@ -119,7 +119,6 @@ class TestGeneratorSet:
 
     def test_derived_parameters(self, quartic):
         assert (quartic.d, quartic.D, quartic.e) == (2, 4, 2)
-        assert quartic.n_plus_1 == 7
 
     def test_homogenize(self, quartic):
         B = homogenize(quartic)
@@ -129,10 +128,25 @@ class TestGeneratorSet:
 
     def test_construction_is_lazy(self, quartic):
         A = GeneratorSet(quartic.d, quartic.points)
-        assert not A._slices and not A._first.size and not A._new
+        assert A._top is None and not A._first.size and not A._new
         A.level(2)
-        assert len(A._first) == A.slice(2).size
+        assert A._top.s == 2
+        assert len(A._first) == A._top.size == A.level(2).size
         assert [len(f) for f in A._new] == [1, 6, 17]
+
+    def test_levels_keep_one_rank_table(self):
+        # slice(s) is a prefix of slice(s+1) with the same ranks, so the
+        # top slice's tables serve every level; one table per level would
+        # hold O(s^2 * D) words on this chain
+        tracemalloc.start()
+        try:
+            A = minimal_smooth(1, 500)
+            A.level(150)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 10 * 2**20
+        assert A._top.s == 150
 
     def test_dropped_set_is_freed_without_the_cycle_collector(self, quartic):
         # a level view must not be kept by its generator set: a reference

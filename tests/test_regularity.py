@@ -14,8 +14,9 @@ from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
-from toricreg.lattice import naive_slice_points, unit
+from toricreg.lattice import unit
 from toricreg.linalg import bareiss_det
+from toricreg.oracle import naive_slice_points
 
 from instances import FAMILIES, family_instance
 

@@ -9,7 +9,7 @@ from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
 from toricreg.cli import analysis_bundle
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, veronese)
-from toricreg.lattice import naive_slice_points
+from toricreg.oracle import naive_slice_points
 
 from instances import FAMILIES, family_instance
 
