@@ -1,9 +1,8 @@
 """Exact sumset and regularity computations for simplicial projective
 toric varieties defined by finite generator sets A in N^d."""
 
-from .classify import (ONE_SINGULAR, OTHER, SMOOTH, AffineChart,
-                       ClassificationReport, classify, is_chart_smooth,
-                       reduce_e_equals_D)
+from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
+                       classify, is_chart_smooth, reduce_e_equals_D)
 from .errors import (CertificationError, InvalidInstanceError,
                      OutOfDomainError, PreconditionError, ResourceLimitError,
                      ToricRegError, UnsupportedInstanceError)
@@ -21,7 +20,7 @@ from .sumsets import (HoleSet, SigmaBounds, SigmaResult, compute_holes,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineChart", "CertificationError", "ClassificationReport",
+    "CertificationError", "ClassificationReport",
     "DegreeResult", "GeneratorSet", "HoleSet",
     "InvalidInstanceError", "ONE_SINGULAR", "OTHER", "OutOfDomainError",
     "PreconditionError", "RegularityResult", "ResourceLimitError", "SMOOTH",

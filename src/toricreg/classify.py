@@ -2,9 +2,19 @@
 
 Two independent routes are computed and cross-checked:
 
-* chart route — for each of the d+1 torus-fixed charts, the affine
-  semigroup is smooth iff its unique minimal generating set has exactly
-  rank-many elements;
+* chart route — the chart at the torus-fixed point P_i is smooth iff its
+  semigroup is free, i.e. has exactly d minimal generators.  Its
+  generators are the homogenized generators with coordinate i deleted.
+  They lie in N^d and include D*e_j for every j, so the semigroup's cone
+  is the orthant.  Let c_j be the least positive j-th entry of a
+  generator on axis j.  The semigroup is free iff c_j divides the j-th
+  entry of every generator, for every j (``is_chart_smooth``).  If it
+  does, every generator is an N-combination of the generators c_j*e_j,
+  so they are a basis.  If the semigroup is free, its d minimal
+  generators lie one on each extremal ray of the orthant, an axis.  An
+  element on axis j is a sum of generators on axis j, so the minimal
+  generator there is c_j*e_j, and every generator is an N-combination of
+  the c_j*e_j;
 * generator route — closed-form criteria on which vectors of the form
   (D-1)e_i + e_j and e*e_k + (D-e)e_j appear among the homogenized
   generators.
@@ -19,81 +29,26 @@ from math import gcd
 from typing import Optional
 
 from .errors import CertificationError, InvalidInstanceError
-from .lattice import GeneratorSet, Point, homogenize, norm, unit
+from .lattice import GeneratorSet, Point, homogenize
 
 SMOOTH = "Smooth"
 ONE_SINGULAR = "OneSingular"
 OTHER = "Other"
 
 
-class AffineChart:
-    """Affine semigroup of the chart at the torus-fixed point P_i.
+def is_chart_smooth(A: GeneratorSet, i: int) -> bool:
+    """Is the affine chart at the torus-fixed point P_i smooth?
 
-    Generated by D*e_1', ..., D*e_d' together with every non-axis
-    homogenized generator with its i-th coordinate deleted.
+    True iff, on every axis j, the least positive entry c_j of a chart
+    generator on that axis divides the j-th entry of every chart
+    generator (proof in the module docstring).
     """
-
-    def __init__(self, A: GeneratorSet, index: int):
-        d = A.d
-        self.index = index
-        B = homogenize(A)
-        axes = {unit(d + 1, j, A.D) for j in range(d + 1)}
-        gens = {unit(d, j, A.D) for j in range(d)}
-        for b in B:
-            if b not in axes:
-                gens.add(b[:index] + b[index + 1:])
-        self.generators: tuple[Point, ...] = tuple(sorted(gens))
-        self._member_cache: dict[Point, bool] = {(0,) * d: True}
-
-    def _member(self, v: Point) -> bool:
-        """Is v in the semigroup generated by the chart generators?
-
-        Depth-first search on v - g over the nonzero generators g, with an
-        explicit stack: a vector waiting on an unknown w - g is scanned
-        again once that answer is in the memo.
-        """
-        memo = self._member_cache
-        stack = [v]
-        while stack:
-            w = stack[-1]
-            if w in memo:
-                stack.pop()
-                continue
-            for g in self.generators:
-                if any(g) and all(h <= x for h, x in zip(g, w)):
-                    u = tuple(x - h for h, x in zip(g, w))
-                    known = memo.get(u)
-                    if known is None:
-                        stack.append(u)
-                        break
-                    if known:
-                        memo[w] = True
-                        break
-            else:
-                memo[w] = False
-        return memo[v]
-
-    def minimal_generators(self) -> tuple[Point, ...]:
-        """The unique minimal generating set of the chart semigroup."""
-        gens = [g for g in self.generators if any(g)]
-        minimal = []
-        for g in gens:
-            reducible = any(
-                h != g and any(h)
-                and all(a <= b for a, b in zip(h, g))
-                and self._member(tuple(b - a for a, b in zip(h, g)))
-                for h in gens)
-            if not reducible:
-                minimal.append(g)
-        return tuple(minimal)
-
-
-def is_chart_smooth(chart: AffineChart) -> bool:
-    """Smooth iff the minimal generating set has rank-many elements.
-
-    The rank is d: the generators hold D*e_j for every chart coordinate.
-    """
-    return len(chart.minimal_generators()) == len(chart.generators[0])
+    gens = [b[:i] + b[i + 1:] for b in homogenize(A)]
+    for j in range(A.d):
+        c = min(g[j] for g in gens if g[j] == sum(g) > 0)
+        if any(g[j] % c for g in gens):
+            return False
+    return True
 
 
 @dataclass
@@ -183,7 +138,7 @@ def classify(A: GeneratorSet) -> ClassificationReport:
     verdict, e, vertex, certs = _generator_verdict(A)
 
     non_smooth = [i for i in range(A.d + 1)
-                  if not is_chart_smooth(AffineChart(A, i))]
+                  if not is_chart_smooth(A, i)]
     if verdict == SMOOTH and non_smooth:
         raise CertificationError(
             f"generator criterion says smooth but charts {non_smooth} "

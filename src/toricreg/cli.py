@@ -240,6 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
+    if args.cutoff is not None and args.cutoff < 0:
+        raise PreconditionError(f"--cutoff must be >= 0 (got {args.cutoff})")
+    if args.threads is not None and args.threads < 1:
+        raise PreconditionError(
+            f"--threads must be >= 1 (got {args.threads})")
     field = FIELDS[args.field]
     if args.command == "gen":
         A = generate(args.family, args.d, args.D, args.e, args.extras,

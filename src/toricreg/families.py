@@ -69,14 +69,22 @@ def _norm_e_points(d: int, D: int, e: int) -> list[Point]:
             if sum(p) <= D and sum(p) % e == 0]
 
 
+def _sample_extras(pool: list[Point], rng: random.Random,
+                   extras: Optional[int]) -> set[Point]:
+    """``extras`` points of the pool, or a random 0 to 6 when None."""
+    if extras is None:
+        extras = rng.randint(0, min(6, len(pool)))
+    elif extras < 0:
+        raise PreconditionError(f"extras must be >= 0 (got {extras})")
+    return set(rng.sample(pool, min(extras, len(pool))))
+
+
 def smooth_random_superset(d: int, D: int, rng: random.Random,
                            extras: Optional[int] = None) -> GeneratorSet:
     """Minimal smooth configuration plus random extra generators."""
     base = minimal_smooth_points(d, D)
     pool = [p for p in _norm_e_points(d, D, 1) if p not in base]
-    k = rng.randint(0, min(6, len(pool))) if extras is None else extras
-    pts = base | set(rng.sample(pool, min(k, len(pool))))
-    A = GeneratorSet(d, pts)
+    A = GeneratorSet(d, base | _sample_extras(pool, rng, extras))
     report = classify(A)
     assert report.verdict == SMOOTH
     return A
@@ -89,9 +97,7 @@ def one_singular_random(d: int, D: int, e: int, rng: random.Random,
     base = one_singular_base_points(d, D, e)
     pool = [p for p in _norm_e_points(d, D, e) if p not in base]
     for _ in range(MAX_RESAMPLE):
-        k = rng.randint(0, min(6, len(pool))) if extras is None else extras
-        pts = base | set(rng.sample(pool, min(k, len(pool))))
-        A = GeneratorSet(d, pts)
+        A = GeneratorSet(d, base | _sample_extras(pool, rng, extras))
         report = classify(A)
         if report.verdict == ONE_SINGULAR and report.e == e:
             return A

@@ -3,7 +3,8 @@
 These deliberately share nothing with the main pipeline beyond plain
 tuples: sumsets by multiset enumeration, simplex slices by enumerating
 a box, semigroup elements by dynamic programming, the complexes T_y by
-one membership query per vertex subset, and homology by an independent
+one membership query per vertex subset, minimal generators by one
+membership query per generator, and homology by an independent
 modular Gaussian elimination on explicitly listed faces.
 """
 
@@ -67,6 +68,17 @@ def naive_member(gens: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
                     nxt.append(w)
         frontier = nxt
     return y in reachable
+
+
+def naive_minimal_generators(
+        gens: Iterable[Sequence[int]]) -> set[Vec]:
+    """The minimal generating set of the semigroup the generators span.
+
+    In N^d a nonzero generator is minimal iff it is not an N-combination
+    of the other generators.
+    """
+    gs = {tuple(int(c) for c in g) for g in gens if any(g)}
+    return {g for g in gs if not naive_member(gs - {g}, g)}
 
 
 def naive_faces(gens: Iterable[Sequence[int]],

@@ -51,9 +51,6 @@ class HoleSet:
     points: frozenset[Point]
     enclosing_level: int
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @dataclass
 class SigmaResult:

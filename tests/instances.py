@@ -1,10 +1,14 @@
-"""Instances of the four generator families for hypothesis tests."""
+"""Instances of the four generator families, and arbitrary generator
+sets, for hypothesis tests."""
 
 import random
 
 from hypothesis import assume
+from hypothesis import strategies as st
 
-from toricreg import families
+from toricreg import GeneratorSet, families
+from toricreg.lattice import unit
+from toricreg.oracle import naive_slice_points
 
 FAMILIES = ("veronese", "minimal_smooth", "smooth_random", "one_singular")
 
@@ -23,3 +27,13 @@ def family_instance(family, d, D, e, seed):
     if family == "minimal_smooth":
         return families.minimal_smooth(d, D)
     return families.smooth_random_superset(d, D, rng)
+
+
+@st.composite
+def arbitrary_sets(draw):
+    """The origin, every D*e_i and up to 8 more points of norm <= D."""
+    d, D = draw(st.integers(1, 3)), draw(st.integers(2, 7))
+    required = {(0,) * d} | {unit(d, i, D) for i in range(d)}
+    pool = sorted(naive_slice_points(d, D) - required)
+    extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    return GeneratorSet(d, required | set(extra))

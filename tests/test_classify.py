@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricreg import (CertificationError, GeneratorSet, InvalidInstanceError,
-                      ONE_SINGULAR, OTHER, SMOOTH, classify,
-                      is_chart_smooth, reduce_e_equals_D)
-from toricreg.classify import AffineChart
+                      ONE_SINGULAR, OTHER, SMOOTH, classify, homogenize,
+                      is_chart_smooth, naive_member, reduce_e_equals_D)
 from toricreg.families import (minimal_smooth, one_singular_base, veronese)
+from toricreg.oracle import naive_minimal_generators
+
+from instances import FAMILIES, arbitrary_sets, family_instance
+
+
+def chart_generators(A, i):
+    """The homogenized generators with coordinate i deleted."""
+    return [b[:i] + b[i + 1:] for b in homogenize(A)]
 
 
 class TestVerdicts:
@@ -18,7 +27,6 @@ class TestVerdicts:
             assert classify(minimal_smooth(d, D)).verdict == SMOOTH
 
     def test_long_chart_chains_do_not_recurse(self):
-        # membership of 498 in <1, 499> walks 498 steps of v - 1
         assert classify(minimal_smooth(1, 500)).verdict == SMOOTH
 
     def test_quartic_is_one_singular(self, quartic):
@@ -50,12 +58,11 @@ class TestVerdicts:
 
 class TestCharts:
     def test_sextic_chart_zero_is_singular(self, sextic):
-        chart = AffineChart(sextic, 0)
-        gens = set(chart.minimal_generators())
+        gens = naive_minimal_generators(chart_generators(sextic, 0))
         assert gens == {(0, 4), (0, 6), (1, 1), (4, 0), (6, 0)}
-        assert not is_chart_smooth(chart)
-        assert is_chart_smooth(AffineChart(sextic, 1))
-        assert is_chart_smooth(AffineChart(sextic, 2))
+        assert not is_chart_smooth(sextic, 0)
+        assert is_chart_smooth(sextic, 1)
+        assert is_chart_smooth(sextic, 2)
 
     def test_sextic_verdict(self, sextic):
         report = classify(sextic)
@@ -66,17 +73,32 @@ class TestCharts:
     def test_veronese_charts_all_smooth(self):
         A = veronese(2, 3)
         for i in range(3):
-            assert is_chart_smooth(AffineChart(A, i))
+            assert is_chart_smooth(A, i)
 
     def test_minimal_generators_are_irredundant(self, quartic):
-        chart = AffineChart(quartic, 0)
-        gens = chart.minimal_generators()
-        assert len(set(gens)) == len(gens)
+        gens = naive_minimal_generators(chart_generators(quartic, 0))
         for g in gens:
-            others = AffineChart(quartic, 0)
-            others.generators = tuple(h for h in gens if h != g)
-            others._member_cache = {(0,) * quartic.d: True}
-            assert not others._member(g)
+            assert not naive_member(gens - {g}, g)
+
+    @given(st.sampled_from(FAMILIES),
+           st.sampled_from([(d, D) for d in (1, 2) for D in range(2, 8)]
+                           + [(3, D) for D in (2, 3, 4)]),
+           st.sampled_from([1, 2, 3]), st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_criterion_matches_minimal_generators_on_families(
+            self, family, cell, e, seed):
+        A = family_instance(family, *cell, e, seed)
+        for i in range(A.d + 1):
+            gens = naive_minimal_generators(chart_generators(A, i))
+            assert is_chart_smooth(A, i) == (len(gens) == A.d), (A, i)
+
+    @given(arbitrary_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_criterion_matches_minimal_generators_on_arbitrary_sets(self, A):
+        # most draws are neither smooth nor one-singular
+        for i in range(A.d + 1):
+            gens = naive_minimal_generators(chart_generators(A, i))
+            assert is_chart_smooth(A, i) == (len(gens) == A.d), (A, i)
 
 
 class TestEEqualsDReduction:

@@ -86,12 +86,24 @@ class TestExitCodes:
         assert json.loads(out)["regularity"]["method"] == "lower-bound"
 
     @pytest.mark.parametrize("command", ["reg", "analyze"])
-    def test_negative_cutoff_rejected(self, capsys, tmp_path, command):
+    def test_negative_cutoff_rejected(self, capsys, tmp_path, write_instance,
+                                      quartic, command):
         other = tmp_path / "other.json"
         other.write_text('{"d": 2, "A": [[0,0],[3,0],[0,3],[1,1]]}')
-        code, _, err = run(capsys, "--cutoff", "-3", command, str(other))
+        # the quartic is one-singular, so its reg never reads the cutoff
+        for path in (str(other), write_instance(quartic)):
+            code, _, err = run(capsys, "--cutoff", "-3", command, path)
+            assert code == 1
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_rejected(self, capsys, write_instance,
+                                        quartic, threads):
+        path = write_instance(quartic)
+        code, _, err = run(capsys, "--threads", threads, "reg", path)
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "--threads" in err
+        assert run(capsys, "--threads", "2", "reg", path)[0] == 0
 
     def test_resource_cap(self, capsys, write_instance, quartic):
         path = write_instance(quartic)
@@ -183,6 +195,13 @@ class TestGen:
 
     def test_missing_e(self, capsys):
         assert run(capsys, "gen", "one-singular")[0] == 1
+
+    @pytest.mark.parametrize("family", ["smooth-random", "one-singular"])
+    def test_negative_extras_rejected(self, capsys, family):
+        code, _, err = run(capsys, "gen", family, "--d", "2", "--D", "4",
+                           "--e", "2", "--extras", "-2")
+        assert code == 1
+        assert err.startswith("error: extras must be >= 0")
 
 
 class TestSubcommands:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from toricreg import PreconditionError, naive_member, naive_sumset, oracle
-from toricreg.oracle import homology_recheck
+from toricreg.oracle import homology_recheck, naive_minimal_generators
 
 
 def package_imports(source: str) -> set[str]:
@@ -78,6 +78,11 @@ class TestNaiveMember:
         gens = [(3,), (5,)]
         gaps = {n for n in range(20) if not naive_member(gens, (n,))}
         assert gaps == {1, 2, 4, 7}
+
+    def test_minimal_generators(self):
+        # 6 = 3 + 3 and 8 = 3 + 5; the zero vector and repeats drop out
+        gens = [(0,), (3,), (5,), (6,), (8,), (3,)]
+        assert naive_minimal_generators(gens) == {(3,), (5,)}
 
 
 class TestHomologyRecheck:

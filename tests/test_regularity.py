@@ -14,11 +14,9 @@ from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
-from toricreg.lattice import unit
 from toricreg.linalg import bareiss_det
-from toricreg.oracle import naive_slice_points
 
-from instances import FAMILIES, family_instance
+from instances import FAMILIES, arbitrary_sets, family_instance
 
 
 def minors_gcd(A):
@@ -27,16 +25,6 @@ def minors_gcd(A):
     for cols in itertools.combinations(homogenize(A), A.d + 1):
         g = gcd(g, bareiss_det(cols))
     return g
-
-
-@st.composite
-def arbitrary_sets(draw):
-    """The origin, every D*e_i and up to 8 more points of norm <= D."""
-    d, D = draw(st.integers(1, 3)), draw(st.integers(2, 7))
-    required = {(0,) * d} | {unit(d, i, D) for i in range(d)}
-    pool = sorted(naive_slice_points(d, D) - required)
-    extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
-    return GeneratorSet(d, required | set(extra))
 
 
 class TestDegree:
