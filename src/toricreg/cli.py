@@ -1,8 +1,8 @@
 """Command-line front end: instance I/O, analysis pipeline, generators,
 and SVG plots of planar sumsets.
 
-Exit codes: 0 success; 1 I/O, validation, internal-certification or
-recursion-depth errors; 2 instance outside the certified families, over
+Exit codes: 0 success; 1 usage, I/O, validation, internal-certification
+or recursion-depth errors; 2 instance outside the certified families, over
 the resource cap, or out of memory.  All JSON documents carry schema
 "toric-reg/1".
 """
@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import families
 from .classify import OTHER, classify
@@ -116,7 +118,7 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
            f'viewBox="0 0 {size} {size}">',
            f'<text x="{margin}" y="16" font-size="12">'
            f's={s}, |sA|={lvl.cardinality}, slice={sl.size}</text>']
-    for p in _colex(sl.points_array()):
+    for p in _colex(sl.unrank(np.arange(sl.size))):
         x, y = xy(p)
         if p in members:
             out.append(f'<circle cx="{x}" cy="{y}" r="{r}" fill="black"/>')
@@ -176,6 +178,14 @@ GLOBAL_DEFAULTS = {"field": "q", "cutoff": None, "threads": None,
                    "max_slice": DEFAULT_MAX_SLICE_SIZE, "seed": 0}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors follow the exit-code contract: ``main`` reports them
+    as one ``error:`` line and exits 1.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
 def _common_options() -> argparse.ArgumentParser:
     # SUPPRESS keeps subcommand-position flags from clobbering ones given
     # before the subcommand; missing values are filled in after parsing.
@@ -196,7 +206,7 @@ def _common_options() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_options()
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="toric-reg",
         parents=[common],
         description="Exact sumset and regularity analysis of simplicial "
@@ -245,6 +255,9 @@ def _dispatch(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise PreconditionError(
             f"--threads must be >= 1 (got {args.threads})")
+    if args.max_slice < 1:
+        raise PreconditionError(
+            f"--max-slice must be >= 1 (got {args.max_slice})")
     field = FIELDS[args.field]
     if args.command == "gen":
         A = generate(args.family, args.d, args.D, args.e, args.extras,
@@ -284,11 +297,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for key, value in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     try:
+        args = build_parser().parse_args(argv)
+        for key, value in GLOBAL_DEFAULTS.items():
+            if not hasattr(args, key):
+                setattr(args, key, value)
         return _dispatch(args)
     except (UnsupportedInstanceError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -5,11 +5,11 @@ of lattice points of bounded coordinate sum (optionally restricted to sums
 divisible by ``e``), ranked by norm first and colexicographically inside a
 norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
 rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
-engine: it records for each rank the first level s with the point in sA,
-and keeps one slice, that of its top built level, whose rank tables serve
-every level below.  Its ``first_levels`` reads that record and is the
-engine's one membership query, and its ``SumsetLevel`` objects are views
-of the same record that take their slice sizes from the closed form.
+engine: its one record holds, for each rank, the first level s with the
+point in sA, and it keeps one slice, its top built level's, whose tables
+rank and unrank every level below.  ``first_levels`` reads that record and
+is the engine's one membership query; ``SumsetLevel`` objects are views of
+the same record that take their slice sizes from the closed form.
 """
 
 from __future__ import annotations
@@ -117,24 +117,24 @@ class SimplexSlice:
             ranks -= self._below[c][prefix[:, c]]
         return ranks
 
-    def points_array(self) -> np.ndarray:
-        """All slice points as an (size, d) int array, sorted by rank.
+    def unrank(self, ranks: np.ndarray) -> np.ndarray:
+        """Inverse of ``rank_array``: the (n, d) int64 points of the ranks.
 
-        Rank order is lexicographic in (|y|, y_(d-1), ..., y_1), with y_0
-        what is left of the norm, so the rows are grown in that order one
-        coordinate at a time and no point outside the slice is formed.
+        The norm n of r is the first with _last[n] >= r, and _last[n] - r
+        sums _below[c][z_0 + ... + z_c] over c with strictly growing binomial
+        arguments: a combinatorial number system, read greedily from c = d - 2
+        down, so the prefix sums come out one searchsorted each.
         """
-        rest = np.arange(0, self.N + 1, self.e, dtype=np.int64)
-        cols: list[np.ndarray] = []
-        for _ in range(self.d - 1):
-            counts = rest + 1
-            rows = np.repeat(np.arange(len(rest)), counts)
-            vals = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
-                                                    counts)
-            cols = [c[rows] for c in cols] + [vals.astype(np.int32)]
-            rest = rest[rows] - vals
-        cols.append(rest.astype(np.int32))
-        return np.stack(cols[::-1], axis=1)
+        r = np.asarray(ranks, dtype=np.int64)
+        if r.size and (r.min() < 0 or r.max() >= self.size):
+            raise OutOfDomainError("rank outside slice")
+        prefix = np.empty((len(r), self.d), dtype=np.int64)
+        prefix[:, -1] = np.searchsorted(self._last, r)
+        rest = self._last[prefix[:, -1]] - r
+        for c in range(self.d - 2, -1, -1):
+            prefix[:, c] = np.searchsorted(self._below[c], rest, "right") - 1
+            rest -= self._below[c][prefix[:, c]]
+        return np.diff(prefix, axis=1, prepend=0)
 
     def __repr__(self) -> str:
         return f"SimplexSlice(d={self.d}, D={self.D}, s={self.s}, e={self.e})"
@@ -147,12 +147,16 @@ class SumsetLevel:
     def __init__(self, A: GeneratorSet, s: int):
         self._A = A
         self.s = s
-        self.cardinality = sum(len(new) for new in A._new[:s + 1])
 
     @property
     def size(self) -> int:
         """|slice(s)|, from the closed form."""
         return slice_size(self._A.d, self.s * self._A.D, self._A.e)
+
+    @property
+    def cardinality(self) -> int:
+        """|sA|."""
+        return int(np.count_nonzero(self._A._first[:self.size] <= self.s))
 
     def gaps(self) -> np.ndarray:
         """Ascending ranks of the points of slice(s) \\ sA."""
@@ -160,8 +164,9 @@ class SumsetLevel:
 
     @property
     def points(self) -> np.ndarray:
-        """(cardinality, d) array of sA, grouped by first level."""
-        return np.concatenate(self._A._new[:self.s + 1])
+        """(cardinality, d) array of sA, in rank order."""
+        return self._A._top.unrank(
+            np.flatnonzero(self._A._first[:self.size] <= self.s))
 
     def point_set(self) -> set[Point]:
         return set(map(tuple, self.points.tolist()))
@@ -172,12 +177,12 @@ class GeneratorSet:
     instance for every downstream computation.
 
     D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).
-    Sumset levels are built on demand and kept: ``_first[r]`` is the first
-    level holding the point of rank r, and ``_new[s]`` the points of
-    sA \\ (s-1)A.  The set keeps one ``SimplexSlice``, ``_top``, the slice
-    of the top built level: every slice below is a prefix of it with the
-    same ranks.  ``level`` returns a fresh view, so no level refers back
-    to a set that holds it and a dropped set is freed at once.
+    Sumset levels are built on demand into one record: ``_first[r]`` is
+    the first level holding the point of rank r.  The set keeps one
+    ``SimplexSlice``, ``_top``, of its top built level: every slice below
+    is a prefix of it with the same ranks, so ``_top.unrank`` gives the
+    points of any level.  ``level`` returns a fresh view, so no level
+    refers back to a set that holds it and a dropped set is freed at once.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],
@@ -216,7 +221,6 @@ class GeneratorSet:
         self.max_slice_size = max_slice_size
         self._top: SimplexSlice | None = None
         self._first = np.zeros(0, dtype=np.int32)
-        self._new: list[np.ndarray] = []
 
     def slice(self, s: int) -> SimplexSlice:
         """A new slice(s) with this set's parameters; nothing is cached."""
@@ -227,7 +231,7 @@ class GeneratorSet:
     def level(self, s: int) -> SumsetLevel:
         if s < 0:
             raise PreconditionError("level must be >= 0")
-        while len(self._new) <= s:
+        while self._top is None or self._top.s < s:
             self._next_level()
         return SumsetLevel(self, s)
 
@@ -253,22 +257,20 @@ class GeneratorSet:
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
         in A, sA = (s-1)A + A = (s-1)A | (F + A)."""
-        s = len(self._new)
+        s = 0 if self._top is None else self._top.s + 1
         sl = self.slice(s)
         if s == 0:
             cand = np.zeros((1, self.d), dtype=np.int64)
         else:
             gens = np.array([p for p in self.points if any(p)], dtype=np.int64)
-            cand = (self._new[-1][:, None, :] + gens[None, :, :]).reshape(-1, self.d)
+            frontier = self._top.unrank(np.flatnonzero(self._first == s - 1))
+            cand = (frontier[:, None, :] + gens[None, :, :]).reshape(-1, self.d)
         first = np.full(sl.size, _UNSEEN, dtype=np.int32)
         first[:len(self._first)] = self._first
         ranks = sl.rank_array(cand, validate=False)
-        fresh = first[ranks] == _UNSEEN
-        uniq, index = np.unique(ranks[fresh], return_index=True)
-        first[uniq] = s
+        first[ranks[first[ranks] == _UNSEEN]] = s  # a repeat writes s again
         self._first = first
         self._top = sl
-        self._new.append(cand[fresh][index])
         return SumsetLevel(self, s)
 
     def __repr__(self) -> str:
@@ -311,13 +313,10 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
     """Direct set computation of slice(s) + {0, D*e_i} == slice(s+1)."""
     if s < 0:
         return False
-    lo = SimplexSlice(d, D, s, e, max_slice_size)
     hi = SimplexSlice(d, D, s + 1, e, max_slice_size)
-    pts = lo.points_array().astype(np.int64)
+    pts = hi.unrank(np.arange(slice_size(d, s * D, e)))
     covered = np.zeros(hi.size, dtype=bool)
-    covered[:lo.size] = True  # slice(s) is a prefix of slice(s+1)
-    for i in range(d):
-        shifted = pts.copy()
-        shifted[:, i] += D
-        covered[hi.rank_array(shifted, validate=False)] = True
+    covered[:len(pts)] = True  # slice(s) is a prefix of slice(s+1)
+    for shift in D * np.eye(d, dtype=np.int64):
+        covered[hi.rank_array(pts + shift, validate=False)] = True
     return bool(covered.all())

@@ -136,7 +136,7 @@ def sigma(A: GeneratorSet,
             f"smooth instance has {len(gaps)} gaps that never close")
 
     # every gap has norm <= (stop-2)*D by the stop rule
-    points = A.slice(stop - 2).points_array()[gaps]
+    points = A.slice(stop - 2).unrank(gaps)
     norms = points.sum(axis=1, dtype=np.int64)
     enclosing = int(-(-norms.max() // A.D)) if len(gaps) else 0
     if enclosing > max(bounds.t0, 0):

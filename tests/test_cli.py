@@ -109,6 +109,27 @@ class TestExitCodes:
         path = write_instance(quartic)
         assert run(capsys, "--max-slice", "4", "sigma", path)[0] == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_slice_below_one_rejected(self, capsys, write_instance,
+                                          quartic, cap):
+        code, _, err = run(capsys, "--max-slice", cap, "analyze",
+                           write_instance(quartic))
+        assert code == 1
+        assert err.startswith("error:") and "--max-slice" in err
+
+    @pytest.mark.parametrize("argv", [["analyze"],
+                                      ["--threads", "x", "analyze", "f"],
+                                      ["frobnicate"]])
+    def test_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
     @pytest.mark.parametrize("exc,expected", [(MemoryError, 2),
                                               (RecursionError, 1)])
     def test_runtime_errors(self, capsys, monkeypatch, write_instance,

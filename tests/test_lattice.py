@@ -13,7 +13,7 @@ from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
                       ResourceLimitError, hilbert_function, homogenize,
                       naive_sumset, step_equality_holds, step_threshold)
 from toricreg.families import minimal_smooth
-from toricreg.lattice import SimplexSlice, norm, slice_size, unit
+from toricreg.lattice import _UNSEEN, SimplexSlice, norm, slice_size, unit
 from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
 
 from instances import FAMILIES, family_instance
@@ -26,7 +26,7 @@ class TestSimplexSlice:
     ])
     def test_rank_is_a_bijection(self, d, D, s, e):
         sl = SimplexSlice(d, D, s, e)
-        pts = sl.points_array()
+        pts = sl.unrank(np.arange(sl.size))
         expected = naive_slice_points(d, s * D, e)
         assert sl.size == len(expected)
         assert set(map(tuple, pts.tolist())) == expected
@@ -46,23 +46,23 @@ class TestSimplexSlice:
     def test_slice_is_a_prefix_of_the_next(self, d, D, e):
         for s in range(4):
             lo, hi = SimplexSlice(d, D, s, e), SimplexSlice(d, D, s + 1, e)
-            P = lo.points_array()
+            P = lo.unrank(np.arange(lo.size))
             assert np.array_equal(lo.rank_array(P), hi.rank_array(P))
-            assert np.array_equal(hi.points_array()[:lo.size], P)
+            assert np.array_equal(hi.unrank(np.arange(lo.size)), P)
 
-    def test_points_array_sorted_by_rank(self):
+    def test_unrank_sorted_by_rank(self):
         sl = SimplexSlice(3, 4, 2, 2)
-        arr = sl.points_array()
+        arr = sl.unrank(np.arange(sl.size))
         assert arr.shape == (sl.size, 3)
         ranks = sl.rank_array(arr)
         assert list(ranks) == list(range(sl.size))
 
-    def test_points_array_builds_no_dense_grid(self):
+    def test_unrank_builds_no_dense_grid(self):
         # the (N+1)^d grid of this slice would hold 4.9M rows for 0.33M points
         sl = SimplexSlice(4, 6, 10, 2)
         tracemalloc.start()
         try:
-            pts = sl.points_array()
+            pts = sl.unrank(np.arange(sl.size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -77,6 +77,9 @@ class TestSimplexSlice:
             sl.rank_array(np.array([[5, 0]]))  # norm 5 > 4
         with pytest.raises(OutOfDomainError):
             sl.rank_array(np.array([[3, 3]]))  # norm 6 > 4
+        for rank in (-1, sl.size):
+            with pytest.raises(OutOfDomainError):
+                sl.unrank(np.array([rank]))
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -93,15 +96,14 @@ class TestSimplexSlice:
         assert slice_size(d, N, e) == sum(
             comb(m + d - 1, d - 1) for m in range(0, N + 1, e))
 
-    @given(st.integers(1, 4), st.integers(2, 6), st.integers(0, 3),
-           st.data())
+    @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 3),
+           st.sampled_from(["1", "2", "D"]), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_rank_roundtrip_random(self, d, D, s, data):
-        e = data.draw(st.sampled_from(
-            [x for x in range(1, D + 1) if D % x == 0]))
-        sl = SimplexSlice(d, D, s, e)
-        i = data.draw(st.integers(0, sl.size - 1))
-        assert sl.rank_array(sl.points_array()[i:i + 1])[0] == i
+    def test_rank_roundtrip_random(self, d, D, s, e, data):
+        sl = SimplexSlice(d, D, s, D if e == "D" else int(e))
+        ranks = np.array(data.draw(st.lists(st.integers(0, sl.size - 1),
+                                            min_size=1, max_size=20)))
+        assert np.array_equal(sl.rank_array(sl.unrank(ranks)), ranks)
 
 
 class TestGeneratorSet:
@@ -128,11 +130,12 @@ class TestGeneratorSet:
 
     def test_construction_is_lazy(self, quartic):
         A = GeneratorSet(quartic.d, quartic.points)
-        assert A._top is None and not A._first.size and not A._new
+        assert A._top is None and not A._first.size
         A.level(2)
         assert A._top.s == 2
         assert len(A._first) == A._top.size == A.level(2).size
-        assert [len(f) for f in A._new] == [1, 6, 17]
+        seen = A._first[A._first != _UNSEEN]
+        assert np.bincount(seen).tolist() == [1, 6, 17]  # per-level counts
 
     def test_levels_keep_one_rank_table(self):
         # slice(s) is a prefix of slice(s+1) with the same ranks, so the

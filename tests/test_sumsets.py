@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,8 @@ def reference_sigma(A):
     b = sigma_bounds(A, report)
     t, end = ((b.upper, b.upper) if b.smooth
               else (max(b.t0, 0), max(b.s0, 0)))
-    cand = A.slice(t).points_array()
+    sl = A.slice(t)
+    cand = sl.unrank(np.arange(sl.size))
     A.level(end)
     holes = frozenset(map(tuple, cand[A.first_levels(cand) > end].tolist()))
     enclosing = max((-(-sum(h) // A.D) for h in holes), default=0)
@@ -104,7 +106,7 @@ class TestSigma:
         A = one_singular_random(3, 6, 2, random.Random(3062))
         assert classify(A).singular_vertex == 0  # sigma works on A itself
         result = sigma(A)
-        top = len(A._new) - 1  # the highest level built
+        top = A._top.s  # the highest level built
         assert top <= result.sigma + 2
         assert result.window_verified == (result.sigma, top)
 
@@ -190,7 +192,8 @@ class TestVertexNormalization:
         next_level = GeneratorSet._next_level
 
         def record(self):
-            built.append((id(self), len(self._new)))
+            built.append((id(self), 0 if self._top is None
+                          else self._top.s + 1))
             return next_level(self)
 
         monkeypatch.setattr(GeneratorSet, "_next_level", record)
