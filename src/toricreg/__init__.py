@@ -8,14 +8,13 @@ from .errors import (CertificationError, InvalidInstanceError,
                      ToricRegError, UnsupportedInstanceError)
 from .homology import betti_numbers, semigroup_member
 from .oracle import naive_member, naive_sumset
-from .lattice import (GeneratorSet, SimplexSlice, SumsetLevel,
-                      hilbert_function, homogenize, norm, step_equality_holds,
-                      step_threshold)
+from .lattice import (GeneratorSet, SumsetLevel, hilbert_function,
+                      homogenize, norm, step_equality_holds, step_threshold)
 from .regularity import (DegreeResult, RegularityResult, degree, eg_check,
                          eg_inequality_suite, herzog_hibi_bound,
                          one_singular_bound, reg, sizeA_bound)
 from .sumsets import (HoleSet, SigmaBounds, SigmaResult, compute_holes,
-                      sigma, sigma_bounds, verify_sigma_bounds)
+                      sigma, sigma_bounds)
 
 __version__ = "0.1.0"
 
@@ -24,12 +23,12 @@ __all__ = [
     "DegreeResult", "GeneratorSet", "HoleSet",
     "InvalidInstanceError", "ONE_SINGULAR", "OTHER", "OutOfDomainError",
     "PreconditionError", "RegularityResult", "ResourceLimitError", "SMOOTH",
-    "SigmaBounds", "SigmaResult", "SimplexSlice", "SumsetLevel",
+    "SigmaBounds", "SigmaResult", "SumsetLevel",
     "ToricRegError", "UnsupportedInstanceError", "betti_numbers",
     "classify", "compute_holes", "degree", "eg_check", "eg_inequality_suite",
     "herzog_hibi_bound", "hilbert_function", "homogenize", "is_chart_smooth",
     "naive_member", "naive_sumset", "norm",
     "one_singular_bound", "reduce_e_equals_D", "reg",
     "semigroup_member", "sigma", "sigma_bounds", "sizeA_bound",
-    "step_equality_holds", "step_threshold", "verify_sigma_bounds",
+    "step_equality_holds", "step_threshold",
 ]

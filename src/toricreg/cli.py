@@ -19,8 +19,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import families
 from .classify import OTHER, classify
 from .errors import (InvalidInstanceError, PreconditionError,
@@ -105,10 +103,11 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
     if A.d != 2:
         raise UnsupportedInstanceError("plots are only available for d = 2")
     lvl = A.level(s)
-    members = lvl.point_set()
-    sl = A.slice(s)
+    marks = [(p, True) for p in map(tuple, lvl.points.tolist())]
+    marks += [(p, False) for p in map(tuple, lvl.gaps().tolist())]
+    marks.sort(key=lambda mark: mark[0][::-1])  # colex
     scale, margin, r = 24, 30, 5
-    size = 2 * margin + scale * max(sl.N, 1)
+    size = 2 * margin + scale * max(s * A.D, 1)
 
     def xy(p):
         return margin + scale * p[0], size - margin - scale * p[1]
@@ -117,10 +116,10 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
            f'width="{size}" height="{size}" '
            f'viewBox="0 0 {size} {size}">',
            f'<text x="{margin}" y="16" font-size="12">'
-           f's={s}, |sA|={lvl.cardinality}, slice={sl.size}</text>']
-    for p in _colex(sl.unrank(np.arange(sl.size))):
+           f's={s}, |sA|={lvl.cardinality}, slice={len(marks)}</text>']
+    for p, member in marks:
         x, y = xy(p)
-        if p in members:
+        if member:
             out.append(f'<circle cx="{x}" cy="{y}" r="{r}" fill="black"/>')
         else:
             out.append(f'<rect x="{x - r}" y="{y - r}" width="{2 * r}" '

@@ -10,6 +10,10 @@ point in sA, and it keeps one slice, its top built level's, whose tables
 rank and unrank every level below.  ``first_levels`` reads that record and
 is the engine's one membership query; ``SumsetLevel`` objects are views of
 the same record that take their slice sizes from the closed form.
+
+Ranks are private to this module: levels hand out their members and gaps
+as (n, d) arrays of points in rank order, so other modules read norms and
+coordinates, never a rank.
 """
 
 from __future__ import annotations
@@ -61,6 +65,16 @@ def slice_size(d: int, N: int, e: int = 1) -> int:
     return total
 
 
+def _capped_size(d: int, D: int, s: int, e: int, max_size: int) -> int:
+    """|slice(s)|, refused with ``ResourceLimitError`` above ``max_size``."""
+    size = slice_size(d, s * D, e)
+    if size > max_size:
+        raise ResourceLimitError(
+            f"slice d={d} D={D} s={s} e={e} holds {size} points "
+            f"(cap {max_size})")
+    return size
+
+
 class SimplexSlice:
     """Lattice points y in N^d with |y| <= s*D and e | |y|.
 
@@ -77,11 +91,7 @@ class SimplexSlice:
         self.s = s
         self.e = e
         self.N = s * D
-        self.size = slice_size(d, self.N, e)
-        if self.size > max_size:
-            raise ResourceLimitError(
-                f"slice d={d} D={D} s={s} e={e} holds {self.size} points "
-                f"(cap {max_size})")
+        self.size = _capped_size(d, D, s, e, max_size)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -98,8 +108,11 @@ class SimplexSlice:
         # _last[n] = rank of the last slice point of norm <= n
         self._last = np.cumsum(layer) - 1
 
-    def rank_array(self, points: np.ndarray, validate: bool = True) -> np.ndarray:
+    def rank_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized rank of an (n, d) array of slice points.
+
+        The rows must lie in the slice; ``GeneratorSet.first_levels`` is
+        the one place that decides which rows do.
 
         Inside the layer of norm n, the points colex-after z are counted
         by prefix sums: sum over c of #{w in N^c : |w| < z_0 + ... + z_(c-1)}.
@@ -107,10 +120,6 @@ class SimplexSlice:
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise OutOfDomainError(f"expected shape (n, {self.d})")
-        if validate and pts.size:
-            norms = pts.sum(axis=1)
-            if (pts < 0).any() or (norms > self.N).any() or (norms % self.e).any():
-                raise OutOfDomainError("point outside slice")
         prefix = np.cumsum(pts, axis=1)
         ranks = self._last[prefix[:, -1]]
         for c in range(self.d - 1):
@@ -159,8 +168,10 @@ class SumsetLevel:
         return int(np.count_nonzero(self._A._first[:self.size] <= self.s))
 
     def gaps(self) -> np.ndarray:
-        """Ascending ranks of the points of slice(s) \\ sA."""
-        return np.flatnonzero(self._A._first[:self.size] > self.s)
+        """(size - cardinality, d) array of slice(s) \\ sA, in rank order,
+        so by norm first."""
+        return self._A._top.unrank(
+            np.flatnonzero(self._A._first[:self.size] > self.s))
 
     @property
     def points(self) -> np.ndarray:
@@ -222,15 +233,13 @@ class GeneratorSet:
         self._top: SimplexSlice | None = None
         self._first = np.zeros(0, dtype=np.int32)
 
-    def slice(self, s: int) -> SimplexSlice:
-        """A new slice(s) with this set's parameters; nothing is cached."""
-        return SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
-
     # -- sumsets --------------------------------------------------------
 
     def level(self, s: int) -> SumsetLevel:
         if s < 0:
             raise PreconditionError("level must be >= 0")
+        # slices grow with s, so this covers every level built below
+        _capped_size(self.d, self.D, s, self.e, self.max_slice_size)
         while self._top is None or self._top.s < s:
             self._next_level()
         return SumsetLevel(self, s)
@@ -251,14 +260,14 @@ class GeneratorSet:
             return out
         norms = pts.sum(axis=1)
         ok = (pts >= 0).all(axis=1) & (norms <= sl.N) & (norms % self.e == 0)
-        out[ok] = self._first[sl.rank_array(pts[ok], validate=False)]
+        out[ok] = self._first[sl.rank_array(pts[ok])]
         return out
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
         in A, sA = (s-1)A + A = (s-1)A | (F + A)."""
         s = 0 if self._top is None else self._top.s + 1
-        sl = self.slice(s)
+        sl = SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
         if s == 0:
             cand = np.zeros((1, self.d), dtype=np.int64)
         else:
@@ -267,7 +276,7 @@ class GeneratorSet:
             cand = (frontier[:, None, :] + gens[None, :, :]).reshape(-1, self.d)
         first = np.full(sl.size, _UNSEEN, dtype=np.int32)
         first[:len(self._first)] = self._first
-        ranks = sl.rank_array(cand, validate=False)
+        ranks = sl.rank_array(cand)
         first[ranks[first[ranks] == _UNSEEN]] = s  # a repeat writes s again
         self._first = first
         self._top = sl
@@ -294,6 +303,7 @@ def hilbert_function(A: GeneratorSet, s_max: int) -> list[int]:
     """|sA| for s = 0..s_max (the Hilbert function of the coordinate ring)."""
     if s_max < 0:
         raise PreconditionError("s_max must be >= 0")
+    A.level(s_max)  # checks the cap of the top level before level 0
     return [A.level(s).cardinality for s in range(s_max + 1)]
 
 
@@ -318,5 +328,5 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
     covered = np.zeros(hi.size, dtype=bool)
     covered[:len(pts)] = True  # slice(s) is a prefix of slice(s+1)
     for shift in D * np.eye(d, dtype=np.int64):
-        covered[hi.rank_array(pts + shift, validate=False)] = True
+        covered[hi.rank_array(pts + shift)] = True
     return bool(covered.all())

@@ -76,6 +76,7 @@ def degree(A: GeneratorSet,
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """Max of s - (i+1) over levels 0..max_level; deterministic witness."""
     d1 = A.d + 1
+    A.level(max_level)  # checks the cap of the top level before level 0
     best = None  # (value, witness_y, i)
     for s in range(max_level + 1):
         pts, tables = face_tables_for_level(A, s)
@@ -113,8 +114,8 @@ def reg(A: GeneratorSet,
                 "families; pass an explicit cutoff for a lower bound")
         if cutoff < 0:
             raise PreconditionError(f"cutoff must be >= 0 (got {cutoff})")
-        best = _sweep(A, cutoff, field)
-        value, y, i = best if best else (0, (0,) * (A.d + 1), -1)
+        # level 0 always yields the empty complex, so best is not None
+        value, y, i = _sweep(A, cutoff, field)
         return RegularityResult(value, y, i, cutoff * A.D, "lower-bound")
 
     if report.verdict == ONE_SINGULAR and report.e == A.D:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .classify import ONE_SINGULAR, SMOOTH, ClassificationReport, classify
 from .errors import CertificationError, UnsupportedInstanceError
-from .lattice import (GeneratorSet, Point, hilbert_function,
-                      step_equality_holds, step_threshold)
+from .lattice import (GeneratorSet, Point, step_equality_holds,
+                      step_threshold)
 
 
 @dataclass
@@ -123,7 +123,7 @@ def sigma(A: GeneratorSet,
     prev = A.level(start).gaps()
     for stop in range(start + 1, last + 1):
         gaps = A.level(stop).gaps()
-        settled = not len(prev) or prev[-1] < A.level(stop - 2).size
+        settled = prev.sum(axis=1).max(initial=0) <= (stop - 2) * A.D
         if settled and len(gaps) == len(prev):
             break
         prev = gaps
@@ -135,18 +135,19 @@ def sigma(A: GeneratorSet,
         raise CertificationError(
             f"smooth instance has {len(gaps)} gaps that never close")
 
-    # every gap has norm <= (stop-2)*D by the stop rule
-    points = A.slice(stop - 2).unrank(gaps)
-    norms = points.sum(axis=1, dtype=np.int64)
-    enclosing = int(-(-norms.max() // A.D)) if len(gaps) else 0
+    # gaps come by norm first, and every one has norm <= (stop-2)*D by the
+    # stop rule
+    norms = gaps.sum(axis=1)
+    enclosing = int(-(-norms.max(initial=0) // A.D))
     if enclosing > max(bounds.t0, 0):
         raise CertificationError(
             f"a hole has norm {int(norms.max())} > t0*D = {bounds.t0 * A.D}")
-    holes = HoleSet(frozenset(map(tuple, points.tolist())), enclosing)
+    holes = HoleSet(frozenset(map(tuple, gaps.tolist())), enclosing)
 
-    sizes = np.array([A.level(s).size for s in range(stop + 1)])
-    stable = sizes - np.searchsorted(gaps, sizes)
-    failing = np.flatnonzero(np.array(hilbert_function(A, stop)) != stable)
+    missing = [lvl.size - lvl.cardinality
+               for lvl in map(A.level, range(stop + 1))]
+    stable = np.searchsorted(norms, A.D * np.arange(stop + 1), "right")
+    failing = np.flatnonzero(np.array(missing) != stable)
     stable_at = max(enclosing, int(failing[-1]) + 1 if len(failing) else 0)
     if stable_at > bounds.stable_upper:
         raise CertificationError(
@@ -157,34 +158,3 @@ def sigma(A: GeneratorSet,
         raise CertificationError(
             f"step property fails at s = {s} despite the threshold formula")
     return SigmaResult(s, holes, bounds, (s, stop))
-
-
-def verify_sigma_bounds(A: GeneratorSet,
-                        report: Optional[ClassificationReport] = None,
-                        result: Optional[SigmaResult] = None) -> dict:
-    """Check lower <= sigma <= upper; reports slack on both sides.
-
-    Two lower-bound formulas are in circulation for the one-singular
-    case: the step-threshold form ceil(d - (d+e-1)/D) and the variant
-    ceil(d - (d-e+1)/D); both are evaluated and reported.
-    """
-    report = report or classify(A)
-    if result is None:
-        result = sigma(A, report)
-    b = result.bounds
-    d, D, e = b.d, b.D, b.e
-    lower_alt = -(-(d * D - (d - e + 1)) // D)
-    out = {
-        "sigma": result.sigma,
-        "lower": b.lower,
-        "upper": b.upper,
-        "lower_alt": lower_alt,
-        "lower_holds": b.lower <= result.sigma,
-        "lower_alt_holds": lower_alt <= result.sigma,
-        "upper_holds": result.sigma <= b.upper,
-        "slack_lower": result.sigma - b.lower,
-        "slack_upper": b.upper - result.sigma,
-    }
-    if not (out["lower_holds"] and out["upper_holds"]):
-        raise CertificationError(f"sigma bounds violated: {out}")
-    return out

@@ -26,7 +26,7 @@ from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
                                smooth_random_superset, veronese)
 from toricreg.homology import face_tables_for_level
-from toricreg.lattice import unit
+from toricreg.lattice import slice_size, unit
 from toricreg.oracle import (homology_recheck, naive_faces,
                              naive_minimal_generators, naive_slice_points)
 
@@ -112,7 +112,7 @@ def test_criterion_02_even_sextic_companion(even_sextic):
     # 2A = slice(2) minus (3,9), so level 2 is not yet the stable shape
     assert (3, 9) not in even_sextic.level(2).point_set()
     assert even_sextic.level(2).cardinality == \
-        even_sextic.slice(2).size - 1
+        slice_size(even_sextic.d, 2 * even_sextic.D, even_sextic.e) - 1
     assert sr.sigma == 3
     rr = reg(even_sextic, report, sr)
     assert rr.reg == 3

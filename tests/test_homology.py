@@ -149,7 +149,7 @@ class TestFaceComplexes:
         betti = betti_numbers(t_faces(quartic, y), 3)
         assert all(b == 0 for b in betti.values())
 
-    def test_face_tables_match_build_T(self, quartic):
+    def test_face_tables_match_naive_faces(self, quartic):
         for s in range(4):
             pts, tables = face_tables_for_level(quartic, s)
             for row, t in zip(pts, tables):

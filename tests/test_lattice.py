@@ -71,12 +71,6 @@ class TestSimplexSlice:
 
     def test_out_of_domain(self):
         sl = SimplexSlice(2, 4, 1, 2)
-        with pytest.raises(OutOfDomainError):
-            sl.rank_array(np.array([[1, 0]]))  # odd norm
-        with pytest.raises(OutOfDomainError):
-            sl.rank_array(np.array([[5, 0]]))  # norm 5 > 4
-        with pytest.raises(OutOfDomainError):
-            sl.rank_array(np.array([[3, 3]]))  # norm 6 > 4
         for rank in (-1, sl.size):
             with pytest.raises(OutOfDomainError):
                 sl.unrank(np.array([rank]))
@@ -177,6 +171,16 @@ class TestGeneratorSet:
     def test_hilbert_function(self, quartic):
         assert hilbert_function(quartic, 4) == [1, 7, 24, 48, 80]
 
+    def test_size_cap_precedes_every_level(self, quartic):
+        # slice(15) holds 961 points and slice(40) 6561: the request for
+        # level 40 is refused before level 0 is built
+        A = GeneratorSet(quartic.d, quartic.points, max_slice_size=1000)
+        with pytest.raises(ResourceLimitError, match="s=40 "):
+            A.level(40)
+        with pytest.raises(ResourceLimitError, match="s=40 "):
+            hilbert_function(A, 40)
+        assert A._top is None
+
     def test_random_sets_match_naive(self):
         rng = random.Random(7)
         for _ in range(10):
@@ -197,8 +201,13 @@ class TestGeneratorSet:
         A = family_instance(family, d, D, D if e == "D" else int(e), seed)
         assume(len(A.points) <= MAX_NAIVE_GENERATORS)
         lvl = A.level(s)
-        assert lvl.point_set() == naive_sumset(A.points, s)
+        members = naive_sumset(A.points, s)
+        assert lvl.point_set() == members
         assert lvl.cardinality == len(lvl.points)
+        gaps = lvl.gaps()
+        assert set(map(tuple, gaps.tolist())) == naive_slice_points(
+            A.d, s * A.D, A.e) - members
+        assert len(gaps) == lvl.size - lvl.cardinality
 
 
 class TestStepProperty:

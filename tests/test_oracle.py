@@ -27,6 +27,46 @@ def package_imports(source: str) -> set[str]:
     return found
 
 
+#: The slice-rank machinery of ``lattice``, which no other module may use.
+RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_first", "_top",
+              "_UNSEEN"}
+
+
+def rank_uses(source: str) -> set[str]:
+    """Rank names a module's code refers to, and ".slice(" for a call of a
+    ``slice`` method; docstrings and comments do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "slice"):
+            found.add(".slice(")
+    return found & (RANK_NAMES | {".slice("})
+
+
+class TestRanksStayInLattice:
+    def test_rank_checker(self):
+        assert rank_uses("pts = A.slice(s - 2).unrank(gaps)") == {
+            ".slice(", "unrank"}
+        assert rank_uses("from .lattice import _UNSEEN, SimplexSlice") == {
+            "_UNSEEN", "SimplexSlice"}
+        assert rank_uses('"""unrank through A._top"""\nx = lvl.gaps()') \
+            == set()
+
+    def test_only_lattice_handles_ranks(self):
+        package = Path(oracle.__file__).parent
+        uses = {path.name: rank_uses(path.read_text())
+                for path in sorted(package.glob("*.py"))
+                if path.name != "lattice.py"}
+        assert {name: found for name, found in uses.items() if found} == {}
+
+
 class TestIndependence:
     def test_import_checker(self):
         assert package_imports("from .errors import X") == {"toricreg.errors"}
