@@ -175,14 +175,14 @@ def _vertex_to_zero(A: GeneratorSet, k: Optional[int]) -> GeneratorSet:
     return GeneratorSet(A.d, swapped, A.max_slice_size)
 
 
-def reduce_e_equals_D(A: GeneratorSet) -> Optional[GeneratorSet]:
+def reduce_e_equals_D(A: GeneratorSet) -> GeneratorSet:
     """Dimension-drop for the e = D case, singular vertex at coordinate 0.
 
     When every non-axis generator avoids the singular vertex coordinate,
     the configuration splits off an isolated vertex; dropping it (and one
     more coordinate as the new homogenizing direction) leaves a smooth
-    set one dimension down with the same regularity.  Returns None in the
-    degenerate case d = 1, where the reduction is empty and reg is 0.
+    set one dimension down with the same regularity.  A set with d = 1
+    and e = D is imprimitive, so ``classify`` rejects it first.
     """
     vertex_gen = (A.D,) + (0,) * A.d
     rest = [b for b in homogenize(A) if b != vertex_gen]
@@ -190,7 +190,5 @@ def reduce_e_equals_D(A: GeneratorSet) -> Optional[GeneratorSet]:
         raise CertificationError(
             "e = D reduction requires every other generator to avoid the "
             "singular vertex coordinate")
-    if A.d == 1:
-        return None
     reduced_pts = {tuple(b[2:]) for b in rest}
     return GeneratorSet(A.d - 1, reduced_pts, A.max_slice_size)

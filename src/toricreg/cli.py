@@ -74,10 +74,6 @@ def analysis_bundle(A: GeneratorSet, field, cutoff: Optional[int]) -> dict:
     bundle = {"instance": instance_dict(A),
               "classification": report.to_json_dict()}
     if report.verdict == OTHER:
-        if cutoff is None:
-            raise UnsupportedInstanceError(
-                "variety is neither smooth nor one-singular; rerun with "
-                "--cutoff N for an uncertified regularity lower bound")
         bundle["sigma"] = None
         rr = timed("reg", lambda: reg(A, report, field=field, cutoff=cutoff))
     else:
@@ -280,16 +276,13 @@ def _dispatch(args) -> int:
     elif args.command == "hilbert":
         _emit({"values": hilbert_function(A, args.s_max)})
     elif args.command == "sigma":
-        report = classify(A)
-        _emit(sigma(A, report).to_json_dict())
+        _emit(sigma(A).to_json_dict())
     elif args.command == "reg":
-        report = classify(A)
-        _emit(reg(A, report, field=field, cutoff=args.cutoff).to_json_dict())
+        _emit(reg(A, field=field, cutoff=args.cutoff).to_json_dict())
     elif args.command == "degree":
         _emit(degree(A, classify(A)).to_json_dict())
     elif args.command == "eg-check":
-        report = classify(A)
-        _emit(eg_check(A, report))
+        _emit(eg_check(A))
     elif args.command == "plot":
         sys.stdout.write(plot_svg(A, args.s) + "\n")
     return 0

@@ -91,17 +91,24 @@ def _betti_numbers(faces: frozenset[int], n_vertices: int,
     return tuple(sorted(betti.items()))
 
 
+def check_face_table_dimension(d: int) -> None:
+    """Face tables hold one bit per vertex subset of T_y, so its d + 1
+    vertices must stay at most 6 for a table to fit in 64 bits."""
+    if d + 1 > 6:
+        raise PreconditionError(
+            f"face tables support at most 6 vertices (d = {d})")
+
+
 def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized T_y face families for every y in S_A of norm s*D.
 
     Returns (points, tables): points are the dehomogenized members of the
     level-s sumset, and tables[r] is an integer whose bit m says whether
     the vertex subset with mask m is a face of T_y (bit 0 = homogenizing
-    coordinate).  Requires d <= 5 so tables fit in 64 bits.
+    coordinate).  See ``check_face_table_dimension``.
     """
     d, D = A.d, A.D
-    if d + 1 > 6:
-        raise PreconditionError("face tables support at most 6 vertices")
+    check_face_table_dimension(d)
     pts = A.level(s).points
     tables = np.zeros(pts.shape[0], dtype=np.int64)
     for axes in range(1 << d):

@@ -265,19 +265,21 @@ class GeneratorSet:
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
-        in A, sA = (s-1)A + A = (s-1)A | (F + A)."""
+        in A, sA = (s-1)A + A = (s-1)A | (F + A).  F + a is ranked one
+        nonzero generator a at a time, so every array the build allocates
+        holds about |F|*d <= |slice(s)|*d entries and the slice cap
+        bounds it."""
         s = 0 if self._top is None else self._top.s + 1
         sl = SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
-        if s == 0:
-            cand = np.zeros((1, self.d), dtype=np.int64)
-        else:
-            gens = np.array([p for p in self.points if any(p)], dtype=np.int64)
-            frontier = self._top.unrank(np.flatnonzero(self._first == s - 1))
-            cand = (frontier[:, None, :] + gens[None, :, :]).reshape(-1, self.d)
         first = np.full(sl.size, _UNSEEN, dtype=np.int32)
         first[:len(self._first)] = self._first
-        ranks = sl.rank_array(cand)
-        first[ranks[first[ranks] == _UNSEEN]] = s  # a repeat writes s again
+        if s == 0:
+            first[0] = 0  # the origin
+        else:
+            frontier = self._top.unrank(np.flatnonzero(self._first == s - 1))
+            for a in self.points[1:]:  # sorted, so the origin comes first
+                ranks = sl.rank_array(frontier + a)
+                first[ranks[first[ranks] == _UNSEEN]] = s  # repeats write s
         self._first = first
         self._top = sl
         return SumsetLevel(self, s)

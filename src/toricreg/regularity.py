@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -20,8 +20,9 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
                        classify)
 from .errors import (CertificationError, PreconditionError,
                      UnsupportedInstanceError)
-from .homology import FieldTag, face_tables_for_level, min_nonzero_degree
-from .lattice import GeneratorSet, Point, homogenize, norm, unit
+from .homology import (FieldTag, check_face_table_dimension,
+                       face_tables_for_level, min_nonzero_degree)
+from .lattice import GeneratorSet, Point, homogenize
 from .linalg import gcd_of_maximal_minors
 from .sumsets import SigmaResult, sigma, sigma_bounds
 
@@ -74,24 +75,21 @@ def degree(A: GeneratorSet,
 
 
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
-    """Max of s - (i+1) over levels 0..max_level; deterministic witness."""
-    d1 = A.d + 1
+    """(value, witness_y, witness_i): the max of s - (i+1) over levels
+    0..max_level.  Each level and face table offers its least point,
+    and the least homogenized y wins among those of the largest value.
+    Level 0 always offers the empty complex."""
     A.level(max_level)  # checks the cap of the top level before level 0
-    best = None  # (value, witness_y, i)
+    found = []  # (-value, y, i)
     for s in range(max_level + 1):
         pts, tables = face_tables_for_level(A, s)
         for t in np.unique(tables):
-            i = min_nonzero_degree(int(t), d1, field)
-            if i is None:
-                continue
-            value = s - (i + 1)
-            rows = pts[tables == t]
-            p = min(tuple(int(c) for c in row) for row in rows)
-            y = (s * A.D - sum(p),) + p
-            if best is None or value > best[0] or (value == best[0]
-                                                  and y < best[1]):
-                best = (value, y, i)
-    return best
+            i = min_nonzero_degree(int(t), A.d + 1, field)
+            if i is not None:
+                p = min(map(tuple, pts[tables == t].tolist()))
+                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
+    neg, y, i = min(found)
+    return -neg, y, i
 
 
 def reg(A: GeneratorSet,
@@ -114,31 +112,24 @@ def reg(A: GeneratorSet,
                 "families; pass an explicit cutoff for a lower bound")
         if cutoff < 0:
             raise PreconditionError(f"cutoff must be >= 0 (got {cutoff})")
-        # level 0 always yields the empty complex, so best is not None
+        check_face_table_dimension(A.d)
         value, y, i = _sweep(A, cutoff, field)
         return RegularityResult(value, y, i, cutoff * A.D, "lower-bound")
 
     if report.verdict == ONE_SINGULAR and report.e == A.D:
-        reduced = report.reduced
-        if reduced is None:
-            # d = 1 point pair: free semigroup, regularity 0
-            return RegularityResult(0, (0,) * (A.d + 1), -1, 0,
-                                    "e=D-reduction", sigma=None)
-        sub = reg(reduced, field=field, extra_levels=extra_levels)
+        sub = reg(report.reduced, field=field, extra_levels=extra_levels)
         return RegularityResult(sub.reg, sub.witness_y, sub.witness_i,
                                 sub.cutoff_norm, "e=D-reduction",
                                 sigma=sub.sigma)
 
+    check_face_table_dimension(A.d)  # before sigma builds a level
     if sigma_result is None:
         sigma_result = sigma(A, report)
     sg = sigma_result.sigma
 
     smooth = report.verdict == SMOOTH
     max_level = sg + A.d + (1 if smooth else 2) + extra_levels
-    best = _sweep(A, max_level, field)
-    if best is None:
-        raise CertificationError("no homology witness found, not even at 0")
-    value, y, i = best
+    value, y, i = _sweep(A, max_level, field)
 
     if smooth and value != sg:
         raise CertificationError(

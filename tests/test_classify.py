@@ -110,13 +110,12 @@ class TestEEqualsDReduction:
         assert report.reduced.d == 1
         assert classify(report.reduced).verdict == SMOOTH
 
-    def test_d1_reduces_to_none(self):
+    def test_d1_is_imprimitive(self):
         # a one-dimensional set with e = D is always imprimitive, so it
-        # never reaches classify(); the reduction helper still handles it
+        # never reaches the reduction
         A = GeneratorSet(1, [(0,), (3,)])
         with pytest.raises(InvalidInstanceError):
             classify(A)
-        assert reduce_e_equals_D(A) is None
 
     def test_reduction_precondition(self, quartic):
         with pytest.raises(CertificationError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
                       ResourceLimitError, hilbert_function, homogenize,
                       naive_sumset, step_equality_holds, step_threshold)
-from toricreg.families import minimal_smooth
+from toricreg.families import minimal_smooth, veronese
 from toricreg.lattice import _UNSEEN, SimplexSlice, norm, slice_size, unit
 from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
 
@@ -144,6 +144,20 @@ class TestGeneratorSet:
             tracemalloc.stop()
         assert held < 10 * 2**20
         assert A._top.s == 150
+
+    def test_level_build_is_bounded_by_its_slice(self):
+        # the frontier gets one nonzero generator added at a time, so no
+        # |F| x |A| candidate block exists; that block peaked at 54 times
+        # slice * d * 8 bytes here
+        A = veronese(3, 6)
+        A.level(7)
+        tracemalloc.start()
+        try:
+            A.level(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * A.level(8).size * A.d * 8
 
     def test_dropped_set_is_freed_without_the_cycle_collector(self, quartic):
         # a level view must not be kept by its generator set: a reference

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
-                      degree, eg_check, eg_inequality_suite,
-                      herzog_hibi_bound, homogenize, one_singular_bound, reg,
-                      sigma, sizeA_bound)
+from toricreg import (GeneratorSet, PreconditionError,
+                      UnsupportedInstanceError, classify, degree, eg_check,
+                      eg_inequality_suite, herzog_hibi_bound, homogenize,
+                      one_singular_bound, oracle, reg, sigma, sizeA_bound)
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
 from toricreg.linalg import bareiss_det
+from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
 
 from instances import FAMILIES, arbitrary_sets, family_instance
 
@@ -25,6 +26,31 @@ def minors_gcd(A):
     for cols in itertools.combinations(homogenize(A), A.d + 1):
         g = gcd(g, bareiss_det(cols))
     return g
+
+
+def oracle_witness(A, levels):
+    """(reg, witness_y, witness_i) over levels 0..levels by the rule of
+    docs/formats.md, from the oracles alone: in each level, the least
+    dehomogenized member with a given face family stands for that family,
+    and among the families with homology the largest s - (i + 1) wins,
+    ties going to the least homogenized y."""
+    gens = homogenize(A)
+    found = []
+    for s in range(levels + 1):
+        least = {}  # face family -> its least dehomogenized point
+        for p in sorted(naive_slice_points(A.d, s * A.D)):
+            y = (s * A.D - sum(p),) + p
+            if oracle.naive_member(gens, y):
+                least.setdefault(naive_faces(gens, y), p)
+        for faces, p in least.items():
+            betti = homology_recheck(
+                [[j for j in range(A.d + 1) if f >> j & 1] for f in faces],
+                32003)
+            i = min((i for i, b in betti.items() if b), default=None)
+            if i is not None:
+                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
+    neg, y, i = min(found)
+    return -neg, y, i
 
 
 class TestDegree:
@@ -106,6 +132,39 @@ class TestReg:
         result = reg(A, cutoff=4)
         assert result.method_tag == "lower-bound"
         assert result.reg >= 0
+
+    @pytest.mark.parametrize("name", ["quartic", "even_sextic", "sextic"])
+    def test_witness_follows_the_documented_rule(self, name, request,
+                                                 monkeypatch):
+        # on the quartic (0, 2, 6) attains reg 2 with i = -1 as well and
+        # is lexicographically smaller than the reported (2, 1, 5), but
+        # its face family also holds the smaller dehomogenized (1, 5)
+        A = request.getfixturevalue(name)
+        result = reg(A)
+        cache = {}
+
+        def member(gens, y, naive_member=oracle.naive_member):
+            key = (tuple(map(tuple, gens)), tuple(y))
+            if key not in cache:
+                cache[key] = naive_member(gens, y)
+            return cache[key]
+
+        monkeypatch.setattr(oracle, "naive_member", member)
+        # T_y has d + 1 vertices, so its homology sits in degrees <= d - 1
+        # and a level s offers s - (i + 1) >= s - d; a level above reg + d
+        # with homology would exceed reg, which the certified cutoff
+        # rules out (test_cutoff_safety sweeps two levels past it)
+        assert oracle_witness(A, result.reg + A.d) == (
+            result.reg, result.witness_y, result.witness_i)
+
+    def test_dimension_six_is_refused_before_any_level(self):
+        # face tables hold at most 6 vertices; the check comes before
+        # sigma and the sweep build their levels (up to 10 here, slice
+        # 230,230)
+        A = veronese(6, 2)
+        with pytest.raises(PreconditionError, match="at most 6 vertices"):
+            reg(A)
+        assert A._top is None
 
     def test_cutoff_safety(self, quartic):
         base = reg(quartic)
