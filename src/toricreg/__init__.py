@@ -6,29 +6,27 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
 from .errors import (CertificationError, InvalidInstanceError,
                      OutOfDomainError, PreconditionError, ResourceLimitError,
                      ToricRegError, UnsupportedInstanceError)
-from .homology import betti_numbers, semigroup_member
+from .homology import betti_numbers
 from .oracle import naive_member, naive_sumset
 from .lattice import (GeneratorSet, SumsetLevel, hilbert_function,
                       homogenize, norm, step_equality_holds, step_threshold)
 from .regularity import (DegreeResult, RegularityResult, degree, eg_check,
                          eg_inequality_suite, herzog_hibi_bound,
                          one_singular_bound, reg, sizeA_bound)
-from .sumsets import (HoleSet, SigmaBounds, SigmaResult, compute_holes,
-                      sigma, sigma_bounds)
+from .sumsets import (SigmaBounds, SigmaResult, compute_holes, sigma,
+                      sigma_bounds)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificationError", "ClassificationReport",
-    "DegreeResult", "GeneratorSet", "HoleSet",
-    "InvalidInstanceError", "ONE_SINGULAR", "OTHER", "OutOfDomainError",
-    "PreconditionError", "RegularityResult", "ResourceLimitError", "SMOOTH",
-    "SigmaBounds", "SigmaResult", "SumsetLevel",
-    "ToricRegError", "UnsupportedInstanceError", "betti_numbers",
-    "classify", "compute_holes", "degree", "eg_check", "eg_inequality_suite",
-    "herzog_hibi_bound", "hilbert_function", "homogenize", "is_chart_smooth",
-    "naive_member", "naive_sumset", "norm",
-    "one_singular_bound", "reduce_e_equals_D", "reg",
-    "semigroup_member", "sigma", "sigma_bounds", "sizeA_bound",
-    "step_equality_holds", "step_threshold",
+    "CertificationError", "ClassificationReport", "DegreeResult",
+    "GeneratorSet", "InvalidInstanceError", "ONE_SINGULAR", "OTHER",
+    "OutOfDomainError", "PreconditionError", "RegularityResult",
+    "ResourceLimitError", "SMOOTH", "SigmaBounds", "SigmaResult",
+    "SumsetLevel", "ToricRegError", "UnsupportedInstanceError",
+    "betti_numbers", "classify", "compute_holes", "degree", "eg_check",
+    "eg_inequality_suite", "herzog_hibi_bound", "hilbert_function",
+    "homogenize", "is_chart_smooth", "naive_member", "naive_sumset", "norm",
+    "one_singular_bound", "reduce_e_equals_D", "reg", "sigma",
+    "sigma_bounds", "sizeA_bound", "step_equality_holds", "step_threshold",
 ]

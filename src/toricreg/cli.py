@@ -24,6 +24,7 @@ from .classify import OTHER, classify
 from .errors import (InvalidInstanceError, PreconditionError,
                      ResourceLimitError, ToricRegError,
                      UnsupportedInstanceError)
+from .homology import check_face_table_dimension
 from .lattice import DEFAULT_MAX_SLICE_SIZE, GeneratorSet, hilbert_function
 from .regularity import degree, eg_check, reg
 from .sumsets import sigma
@@ -77,6 +78,8 @@ def analysis_bundle(A: GeneratorSet, field, cutoff: Optional[int]) -> dict:
         bundle["sigma"] = None
         rr = timed("reg", lambda: reg(A, report, field=field, cutoff=cutoff))
     else:
+        # refuse what reg would refuse before sigma builds a level
+        check_face_table_dimension((report.reduced or report.instance).d)
         sr = timed("sigma", lambda: sigma(A, report))
         bundle["sigma"] = sr.to_json_dict()
         rr = timed("reg", lambda: reg(A, report, sr, field=field))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional
 
@@ -15,9 +14,7 @@ MAX_RESAMPLE = 200
 
 def veronese(d: int, D: int) -> GeneratorSet:
     """All lattice points of norm <= D."""
-    pts = [p for p in itertools.product(range(D + 1), repeat=d)
-           if sum(p) <= D]
-    return GeneratorSet(d, pts)
+    return GeneratorSet(d, _norm_e_points(d, D, 1))
 
 
 def minimal_smooth_points(d: int, D: int) -> set[Point]:
@@ -65,8 +62,13 @@ def one_singular_base(d: int, D: int, e: int) -> GeneratorSet:
 
 
 def _norm_e_points(d: int, D: int, e: int) -> list[Point]:
-    return [p for p in itertools.product(range(D + 1), repeat=d)
-            if sum(p) <= D and sum(p) % e == 0]
+    """Points of norm <= D divisible by e, in ``itertools.product`` order
+    (seeded samplers pick from them by position); each prefix grows only
+    inside the simplex, never through its (D+1)^d box."""
+    pts = [()]
+    for _ in range(d):
+        pts = [p + (c,) for p in pts for c in range(D - sum(p) + 1)]
+    return [p for p in pts if sum(p) % e == 0]
 
 
 def _sample_extras(pool: list[Point], rng: random.Random,

@@ -10,35 +10,15 @@ drives the regularity formula; the empty face is kept as the single
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import PreconditionError
-from .lattice import GeneratorSet, norm
+from .lattice import GeneratorSet
 from .linalg import bareiss_rank, rank_mod_p
 
 FieldTag = Union[str, int]  # "q" or a prime
-
-
-def semigroup_member(A: GeneratorSet, y: Sequence[int]) -> bool:
-    """Is y (in N^{d+1}) an N-combination of the homogenized generators?
-
-    Every generator has norm D, so the question reduces to a single
-    sumset level: y in S_A iff D | |y| and the dehomogenized part lies
-    in sA for s = |y|/D.
-    """
-    y = tuple(int(c) for c in y)
-    if len(y) != A.d + 1:
-        raise PreconditionError(f"expected a vector of length {A.d + 1}")
-    if any(c < 0 for c in y):
-        return False
-    total = norm(y)
-    if total % A.D:
-        return False
-    s = total // A.D
-    A.level(s)
-    return bool(A.first_levels(np.array([y[1:]]))[0] <= s)
 
 
 def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:

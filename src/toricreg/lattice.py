@@ -179,9 +179,6 @@ class SumsetLevel:
         return self._A._top.unrank(
             np.flatnonzero(self._A._first[:self.size] <= self.s))
 
-    def point_set(self) -> set[Point]:
-        return set(map(tuple, self.points.tolist()))
-
 
 class GeneratorSet:
     """A finite A in N^d with 0 and all D*e_i present; the single source

@@ -47,22 +47,16 @@ class SigmaBounds:
 
 
 @dataclass
-class HoleSet:
-    points: frozenset[Point]
-    enclosing_level: int
-
-
-@dataclass
 class SigmaResult:
     sigma: int
-    holes: HoleSet
+    holes: frozenset[Point]
     bounds: SigmaBounds
     window_verified: tuple[int, int]
 
     def to_json_dict(self) -> dict:
         return {
             "sigma": self.sigma,
-            "holes": sorted([list(p) for p in self.holes.points]),
+            "holes": sorted([list(p) for p in self.holes]),
             "t0": self.bounds.t0,
             "s0": self.bounds.s0,
             "lower": self.bounds.lower,
@@ -82,7 +76,7 @@ def sigma_bounds(A: GeneratorSet,
 
 
 def compute_holes(A: GeneratorSet,
-                  report: Optional[ClassificationReport] = None) -> HoleSet:
+                  report: Optional[ClassificationReport] = None) -> frozenset[Point]:
     """The hole set H (empty in the smooth case); see ``sigma``."""
     return sigma(A, report).holes
 
@@ -142,7 +136,6 @@ def sigma(A: GeneratorSet,
     if enclosing > max(bounds.t0, 0):
         raise CertificationError(
             f"a hole has norm {int(norms.max())} > t0*D = {bounds.t0 * A.D}")
-    holes = HoleSet(frozenset(map(tuple, gaps.tolist())), enclosing)
 
     missing = [lvl.size - lvl.cardinality
                for lvl in map(A.level, range(stop + 1))]
@@ -157,4 +150,5 @@ def sigma(A: GeneratorSet,
     if not step_equality_holds(A.d, A.D, report.e, s, A.max_slice_size):
         raise CertificationError(
             f"step property fails at s = {s} despite the threshold formula")
-    return SigmaResult(s, holes, bounds, (s, stop))
+    return SigmaResult(s, frozenset(map(tuple, gaps.tolist())), bounds,
+                       (s, stop))

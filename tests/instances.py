@@ -13,6 +13,11 @@ from toricreg.oracle import naive_slice_points
 FAMILIES = ("veronese", "minimal_smooth", "smooth_random", "one_singular")
 
 
+def members(level):
+    """The points of a sumset level, as a set of tuples."""
+    return set(map(tuple, level.points.tolist()))
+
+
 def family_instance(family, d, D, e, seed):
     """An instance of ``family``; ``assume`` rejects the (d, D, e) that
     the family does not cover (e matters only for one_singular)."""

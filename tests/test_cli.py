@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from toricreg import families, naive_sumset
-from toricreg.cli import main
+from toricreg import PreconditionError, families, naive_sumset
+from toricreg.cli import analysis_bundle, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,6 +147,19 @@ class TestExitCodes:
         code, out, _ = run(capsys, "analyze", str(inst))
         assert code == 0
         assert json.loads(out)["classification"]["verdict"] == "Smooth"
+
+    def test_d6_refused_before_sigma(self, capsys, tmp_path, write_instance):
+        # reg refuses d >= 6, so analyze and corpus refuse it before
+        # sigma builds a level
+        A = families.veronese(6, 2)
+        path = write_instance(A)
+        for argv in (["analyze", path], ["corpus", str(tmp_path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "at most 6 vertices" in err
+        with pytest.raises(PreconditionError, match="at most 6 vertices"):
+            analysis_bundle(A, "q", None)
+        assert A._top is None
 
     def test_sigma_above_the_closed_form_bound(self, capsys, tmp_path):
         # e = D = 3: the closed form s0 = 0 is below the step threshold 1

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
                       ResourceLimitError, hilbert_function, homogenize,
-                      naive_sumset, step_equality_holds, step_threshold)
+                      naive_member, naive_sumset, step_equality_holds,
+                      step_threshold)
 from toricreg.families import minimal_smooth, veronese
 from toricreg.lattice import _UNSEEN, SimplexSlice, norm, slice_size, unit
 from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
 
-from instances import FAMILIES, family_instance
+from instances import (FAMILIES, arbitrary_sets, family_instance,
+                       members)
 
 
 class TestSimplexSlice:
@@ -174,13 +176,13 @@ class TestGeneratorSet:
 
     def test_levels_match_naive_sumsets(self, quartic):
         for s in range(5):
-            assert quartic.level(s).point_set() == naive_sumset(
+            assert members(quartic.level(s)) == naive_sumset(
                 quartic.points, s)
 
     def test_level_zero_and_one(self):
         A = GeneratorSet(2, [(0, 0), (3, 0), (0, 3), (1, 1)])
-        assert A.level(0).point_set() == {(0, 0)}
-        assert A.level(1).point_set() == set(A.points)
+        assert members(A.level(0)) == {(0, 0)}
+        assert members(A.level(1)) == set(A.points)
 
     def test_hilbert_function(self, quartic):
         assert hilbert_function(quartic, 4) == [1, 7, 24, 48, 80]
@@ -205,7 +207,7 @@ class TestGeneratorSet:
             pts |= set(rng.sample(pool, min(4, len(pool))))
             A = GeneratorSet(d, pts)
             for s in range(4):
-                assert A.level(s).point_set() == naive_sumset(A.points, s)
+                assert members(A.level(s)) == naive_sumset(A.points, s)
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 6),
            st.sampled_from(["1", "2", "D"]), st.integers(0, 2**16),
@@ -215,13 +217,30 @@ class TestGeneratorSet:
         A = family_instance(family, d, D, D if e == "D" else int(e), seed)
         assume(len(A.points) <= MAX_NAIVE_GENERATORS)
         lvl = A.level(s)
-        members = naive_sumset(A.points, s)
-        assert lvl.point_set() == members
+        expected = naive_sumset(A.points, s)
+        assert members(lvl) == expected
         assert lvl.cardinality == len(lvl.points)
         gaps = lvl.gaps()
         assert set(map(tuple, gaps.tolist())) == naive_slice_points(
-            A.d, s * A.D, A.e) - members
+            A.d, s * A.D, A.e) - expected
         assert len(gaps) == lvl.size - lvl.cardinality
+
+
+    @given(arbitrary_sets(), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_levels_match_naive_member(self, A, top, data):
+        # rows of any norm, negative coordinates included: row y is in sA
+        # iff (s*D - |y|, y) is in the semigroup of the lifted generators
+        rows = data.draw(st.lists(
+            st.tuples(*[st.integers(-1, A.D + 1)] * A.d),
+            min_size=1, max_size=8))
+        A.level(top)
+        first = A.first_levels(np.array(rows))
+        B = homogenize(A)
+        for y, f in zip(rows, first):
+            for s in range(top + 1):
+                assert (f <= s) == naive_member(B, (s * A.D - sum(y),) + y), (
+                    A, y, s)
 
 
 class TestStepProperty:
