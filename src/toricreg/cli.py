@@ -25,7 +25,8 @@ from .errors import (InvalidInstanceError, PreconditionError,
                      ResourceLimitError, ToricRegError,
                      UnsupportedInstanceError)
 from .homology import check_face_table_dimension
-from .lattice import DEFAULT_MAX_SLICE_SIZE, GeneratorSet, hilbert_function
+from .lattice import (DEFAULT_MAX_SLICE_SIZE, GeneratorSet, capped_slice_size,
+                      hilbert_function)
 from .regularity import degree, eg_check, reg
 from .sumsets import sigma
 
@@ -258,6 +259,14 @@ def _dispatch(args) -> int:
             f"--max-slice must be >= 1 (got {args.max_slice})")
     field = FIELDS[args.field]
     if args.command == "gen":
+        # these families list slice(1), with their e, before the set is
+        # built: a request that passes the family's own checks is held to
+        # the cap first
+        e = args.e if args.family == "one-singular" else 1
+        if (args.family in ("veronese", "smooth-random", "one-singular")
+                and args.d >= 1 and args.D >= 2 and e is not None
+                and e >= 1 and args.D % e == 0):
+            capped_slice_size(args.d, args.D, 1, e, args.max_slice)
         A = generate(args.family, args.d, args.D, args.e, args.extras,
                      args.seed)
         _emit(instance_dict(A))
@@ -283,9 +292,11 @@ def _dispatch(args) -> int:
     elif args.command == "reg":
         _emit(reg(A, field=field, cutoff=args.cutoff).to_json_dict())
     elif args.command == "degree":
-        _emit(degree(A, classify(A)).to_json_dict())
+        _emit(degree(A).to_json_dict())
     elif args.command == "eg-check":
-        _emit(eg_check(A))
+        report = classify(A)
+        rr = reg(A, report, field=field, cutoff=args.cutoff)
+        _emit(eg_check(A, report, rr))
     elif args.command == "plot":
         sys.stdout.write(plot_svg(A, args.s) + "\n")
     return 0

@@ -9,10 +9,6 @@ class InvalidInstanceError(ToricRegError):
     """The input generator set violates a structural requirement."""
 
 
-class OutOfDomainError(ToricRegError):
-    """A point or index lies outside the domain of the operation."""
-
-
 class ResourceLimitError(ToricRegError):
     """A computation would exceed the configured size cap."""
 

@@ -24,12 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidInstanceError,
-    OutOfDomainError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import InvalidInstanceError, PreconditionError, ResourceLimitError
 
 Point = tuple[int, ...]
 
@@ -38,11 +33,6 @@ DEFAULT_MAX_SLICE_SIZE = 2**27
 
 #: First-appearance level of a rank that no level built so far contains.
 _UNSEEN = np.iinfo(np.int32).max
-
-
-def norm(point: Sequence[int]) -> int:
-    """Coordinate sum |y| of a lattice point."""
-    return sum(point)
 
 
 def unit(d: int, i: int, scale: int = 1) -> Point:
@@ -65,7 +55,7 @@ def slice_size(d: int, N: int, e: int = 1) -> int:
     return total
 
 
-def _capped_size(d: int, D: int, s: int, e: int, max_size: int) -> int:
+def capped_slice_size(d: int, D: int, s: int, e: int, max_size: int) -> int:
     """|slice(s)|, refused with ``ResourceLimitError`` above ``max_size``."""
     size = slice_size(d, s * D, e)
     if size > max_size:
@@ -87,11 +77,10 @@ class SimplexSlice:
         if d < 1 or D < 1 or s < 0 or e < 1:
             raise PreconditionError(f"bad slice parameters d={d} D={D} s={s} e={e}")
         self.d = d
-        self.D = D
         self.s = s
         self.e = e
         self.N = s * D
-        self.size = _capped_size(d, D, s, e, max_size)
+        self.size = capped_slice_size(d, D, s, e, max_size)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -119,7 +108,7 @@ class SimplexSlice:
         """
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise OutOfDomainError(f"expected shape (n, {self.d})")
+            raise PreconditionError(f"expected shape (n, {self.d})")
         prefix = np.cumsum(pts, axis=1)
         ranks = self._last[prefix[:, -1]]
         for c in range(self.d - 1):
@@ -136,7 +125,7 @@ class SimplexSlice:
         """
         r = np.asarray(ranks, dtype=np.int64)
         if r.size and (r.min() < 0 or r.max() >= self.size):
-            raise OutOfDomainError("rank outside slice")
+            raise PreconditionError("rank outside slice")
         prefix = np.empty((len(r), self.d), dtype=np.int64)
         prefix[:, -1] = np.searchsorted(self._last, r)
         rest = self._last[prefix[:, -1]] - r
@@ -144,9 +133,6 @@ class SimplexSlice:
             prefix[:, c] = np.searchsorted(self._below[c], rest, "right") - 1
             rest -= self._below[c][prefix[:, c]]
         return np.diff(prefix, axis=1, prepend=0)
-
-    def __repr__(self) -> str:
-        return f"SimplexSlice(d={self.d}, D={self.D}, s={self.s}, e={self.e})"
 
 
 class SumsetLevel:
@@ -214,7 +200,7 @@ class GeneratorSet:
             raise InvalidInstanceError("empty generator set")
         self.d = d
         self.points: tuple[Point, ...] = tuple(sorted(pts))
-        self.D = max(norm(p) for p in self.points)
+        self.D = max(sum(p) for p in self.points)
         if self.D < 2:
             raise InvalidInstanceError(
                 f"maximum generator norm must be >= 2 (got {self.D})")
@@ -225,7 +211,7 @@ class GeneratorSet:
             if unit(d, i, self.D) not in seen:
                 raise InvalidInstanceError(
                     f"generator set must contain {self.D}*e_{i + 1}")
-        self.e = gcd(self.D, *(norm(p) for p in self.points if norm(p)))
+        self.e = gcd(self.D, *(sum(p) for p in self.points if sum(p)))
         self.max_slice_size = max_slice_size
         self._top: SimplexSlice | None = None
         self._first = np.zeros(0, dtype=np.int32)
@@ -236,7 +222,7 @@ class GeneratorSet:
         if s < 0:
             raise PreconditionError("level must be >= 0")
         # slices grow with s, so this covers every level built below
-        _capped_size(self.d, self.D, s, self.e, self.max_slice_size)
+        capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
         while self._top is None or self._top.s < s:
             self._next_level()
         return SumsetLevel(self, s)
@@ -285,17 +271,10 @@ class GeneratorSet:
         return (f"GeneratorSet(d={self.d}, D={self.D}, e={self.e}, "
                 f"|A|={len(self.points)})")
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GeneratorSet)
-                and self.d == other.d and self.points == other.points)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.points))
-
 
 def homogenize(A: GeneratorSet) -> tuple[Point, ...]:
     """Lift A to the norm-D hyperplane of N^(d+1): a -> (D - |a|, a)."""
-    return tuple((A.D - norm(a),) + a for a in A.points)
+    return tuple((A.D - sum(a),) + a for a in A.points)
 
 
 def hilbert_function(A: GeneratorSet, s_max: int) -> list[int]:
@@ -319,13 +298,14 @@ def step_threshold(d: int, D: int, e: int = 1) -> int:
 
 def step_equality_holds(d: int, D: int, e: int, s: int,
                         max_slice_size: int = DEFAULT_MAX_SLICE_SIZE) -> bool:
-    """Direct set computation of slice(s) + {0, D*e_i} == slice(s+1)."""
+    """Whether slice(s) + {0, D*e_1, ..., D*e_d} == slice(s+1).
+
+    slice(s) covers itself, so only the shell slice(s+1) \\ slice(s) is
+    read: a shell point z has sD < |z| <= (s+1)D and e | |z| - D, so
+    z - D*e_i lies in slice(s) iff z_i >= D.
+    """
     if s < 0:
         return False
     hi = SimplexSlice(d, D, s + 1, e, max_slice_size)
-    pts = hi.unrank(np.arange(slice_size(d, s * D, e)))
-    covered = np.zeros(hi.size, dtype=bool)
-    covered[:len(pts)] = True  # slice(s) is a prefix of slice(s+1)
-    for shift in D * np.eye(d, dtype=np.int64):
-        covered[hi.rank_array(pts + shift)] = True
-    return bool(covered.all())
+    shell = hi.unrank(np.arange(slice_size(d, s * D, e), hi.size))
+    return bool((shell >= D).any(axis=1).all())

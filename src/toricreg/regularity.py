@@ -59,17 +59,18 @@ def degree(A: GeneratorSet,
 
     theta is computed as the index of the lattice the homogenized
     generators span.  For one-singular instances the degree is
-    cross-checked against D^d / e.
+    cross-checked against D^d / e; A is classified when no report is
+    given.
     """
+    report = report or classify(A)
     d, D = A.d, A.D
     theta = gcd_of_maximal_minors(homogenize(A), D)
     if D ** (d + 1) % theta:
         raise CertificationError(f"theta {theta} does not divide D^(d+1)")
     deg = D ** (d + 1) // theta
-    if report is not None and report.verdict == ONE_SINGULAR:
-        if deg * report.e != D ** d:
-            raise CertificationError(
-                f"degree {deg} != D^d/e = {D ** d}/{report.e}")
+    if report.verdict == ONE_SINGULAR and deg * report.e != D ** d:
+        raise CertificationError(
+            f"degree {deg} != D^d/e = {D ** d}/{report.e}")
     codim = len(A.points) - 1 - d
     return DegreeResult(theta, deg, codim)
 

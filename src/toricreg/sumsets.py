@@ -104,8 +104,9 @@ def sigma(A: GeneratorSet,
     equals slice \\ H.  So sigma = max(lower, enclosing level of H, last
     level s <= stop with |sA| != |slice(s) \\ H| plus one), and the levels
     [sigma, stop] are the ones checked point for point.  The step
-    property is monotone in s, so checking it at sigma <= stop-1 covers
-    every level the argument uses.
+    property is monotone in s, so checking that it holds at lower and
+    fails at lower-1 certifies lower from both sides and covers sigma
+    and every level the argument uses.
     """
     report = report or classify(A)
     A = report.instance
@@ -146,9 +147,12 @@ def sigma(A: GeneratorSet,
         raise CertificationError(
             f"sumsets stabilize at level {stable_at}, above the certified "
             f"bound {bounds.stable_upper}")
-    s = max(bounds.lower, stable_at)
-    if not step_equality_holds(A.d, A.D, report.e, s, A.max_slice_size):
+    lower = bounds.lower
+    holds = [step_equality_holds(A.d, A.D, report.e, t, A.max_slice_size)
+             for t in (lower - 1, lower)]
+    if holds != [False, True]:
         raise CertificationError(
-            f"step property fails at s = {s} despite the threshold formula")
+            f"step property does not start at the threshold s = {lower}")
+    s = max(lower, stable_at)
     return SigmaResult(s, frozenset(map(tuple, gaps.tolist())), bounds,
                        (s, stop))

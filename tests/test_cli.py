@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from toricreg import PreconditionError, families, naive_sumset
+from toricreg import PreconditionError, cli, families, naive_sumset
 from toricreg.cli import analysis_bundle, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -237,6 +237,28 @@ class TestGen:
         assert code == 1
         assert err.startswith("error: extras must be >= 0")
 
+    @pytest.mark.parametrize("family", ["veronese", "smooth-random",
+                                        "one-singular"])
+    def test_max_slice_precedes_listing(self, capsys, monkeypatch, family):
+        # slice(1) of d = 2, D = 4, e = 1 holds 15 points
+        def listing(*args):
+            raise AssertionError("slice(1) listed before the cap check")
+        monkeypatch.setattr(families, "_norm_e_points", listing)
+        code, out, err = run(capsys, "--max-slice", "10", "gen", family,
+                             "--d", "2", "--D", "4", "--e", "1")
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "(cap 10)" in err
+
+    def test_max_slice_keeps_other_outcomes(self, capsys):
+        code, out, _ = run(capsys, "--max-slice", "10", "gen",
+                           "minimal-smooth", "--d", "2", "--D", "4")
+        assert code == 0 and len(json.loads(out)["A"]) == 9
+        for argv, message in [(["veronese", "--d", "0"], "dimension"),
+                              (["veronese", "--D", "1"], "norm must be"),
+                              (["one-singular"], "needs --e")]:
+            code, _, err = run(capsys, "--max-slice", "1", "gen", *argv)
+            assert code == 1 and message in err
+
 
 class TestSubcommands:
     def test_sumset_count(self, capsys, write_instance, quartic):
@@ -274,6 +296,25 @@ class TestSubcommands:
         assert json.loads(out)["degree"] == 8
         _, out, _ = run(capsys, "eg-check", path)
         assert json.loads(out)["holds"] is True
+
+    def test_eg_check_reads_field_and_cutoff(self, capsys, monkeypatch,
+                                             tmp_path):
+        other = tmp_path / "other.json"
+        other.write_text('{"d": 2, "A": [[0,0],[3,0],[0,3],[1,1]]}')
+        _, out, _ = run(capsys, "--cutoff", "4", "reg", str(other))
+        expected = json.loads(out)["reg"]
+        calls = []
+        real_reg = cli.reg
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real_reg(*args, **kwargs)
+        monkeypatch.setattr(cli, "reg", spy)
+        code, out, _ = run(capsys, "--field", "f2", "--cutoff", "4",
+                           "eg-check", str(other))
+        assert code == 0
+        assert json.loads(out)["reg"] == expected
+        assert calls == [{"field": 2, "cutoff": 4}]
 
 
 class TestCorpus:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricreg import (GeneratorSet, InvalidInstanceError, OutOfDomainError,
+from toricreg import (GeneratorSet, InvalidInstanceError, PreconditionError,
                       ResourceLimitError, hilbert_function, homogenize,
                       naive_member, naive_sumset, step_equality_holds,
                       step_threshold)
 from toricreg.families import minimal_smooth, veronese
-from toricreg.lattice import _UNSEEN, SimplexSlice, norm, slice_size, unit
+from toricreg.lattice import _UNSEEN, SimplexSlice, slice_size, unit
 from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
@@ -74,7 +74,7 @@ class TestSimplexSlice:
     def test_out_of_domain(self):
         sl = SimplexSlice(2, 4, 1, 2)
         for rank in (-1, sl.size):
-            with pytest.raises(OutOfDomainError):
+            with pytest.raises(PreconditionError):
                 sl.unrank(np.array([rank]))
 
     def test_size_cap(self):
@@ -121,7 +121,7 @@ class TestGeneratorSet:
     def test_homogenize(self, quartic):
         B = homogenize(quartic)
         assert len(B) == len(quartic.points)
-        assert all(norm(b) == 4 for b in B)
+        assert all(sum(b) == 4 for b in B)
         assert (0, 3, 1) in B  # lift of (3,1)
 
     def test_construction_is_lazy(self, quartic):
@@ -260,8 +260,12 @@ class TestStepProperty:
                     if thr > 0:
                         assert not step_equality_holds(d, D, e, thr - 1)
 
-    def test_direct_set_computation_agrees_with_naive(self):
-        d, D, e, s = 2, 4, 2, 1
+    @pytest.mark.parametrize("d,D,e,ds", [
+        (d, D, e, ds) for d in (1, 2, 3) for D in (2, 3, 4, 5)
+        for e in range(1, D + 1) if D % e == 0 for ds in (-1, 0, 1)])
+    def test_direct_set_computation_agrees_with_naive(self, d, D, e, ds):
+        # around the threshold, against the whole Minkowski sum
+        s = step_threshold(d, D, e) + ds
         lo = naive_slice_points(d, s * D, e)
         hi = naive_slice_points(d, (s + 1) * D, e)
         shifts = {(0,) * d} | {unit(d, i, D) for i in range(d)}

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricreg import (GeneratorSet, PreconditionError,
-                      UnsupportedInstanceError, classify, degree, eg_check,
-                      eg_inequality_suite, herzog_hibi_bound, homogenize,
-                      one_singular_bound, oracle, reg, sigma, sizeA_bound)
+from toricreg import (CertificationError, GeneratorSet, InvalidInstanceError,
+                      PreconditionError, UnsupportedInstanceError, classify,
+                      degree, eg_check, eg_inequality_suite,
+                      herzog_hibi_bound, homogenize, one_singular_bound,
+                      oracle, reg, regularity, sigma, sizeA_bound)
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
-from toricreg.linalg import bareiss_det
+from toricreg.linalg import bareiss_det, gcd_of_maximal_minors
 from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
 
 from instances import FAMILIES, arbitrary_sets, family_instance
@@ -70,6 +71,14 @@ class TestDegree:
     def test_codim(self, quartic):
         assert degree(quartic).codim == len(quartic.points) - 3
 
+    def test_cross_checked_without_a_report(self, quartic, monkeypatch):
+        # a doubled theta still divides D^(d+1); only D^d/e catches it
+        theta = regularity.gcd_of_maximal_minors
+        monkeypatch.setattr(regularity, "gcd_of_maximal_minors",
+                            lambda gens, D: 2 * theta(gens, D))
+        with pytest.raises(CertificationError, match="D\\^d/e"):
+            degree(quartic)
+
     @given(st.sampled_from(FAMILIES),
            st.sampled_from([(d, D) for d in (1, 2) for D in range(2, 8)]
                            + [(3, D) for D in (2, 3, 4)]),
@@ -84,8 +93,15 @@ class TestDegree:
     @given(arbitrary_sets())
     @settings(max_examples=100, deadline=None)
     def test_theta_is_the_minors_gcd_on_arbitrary_sets(self, A):
-        # most draws are neither smooth nor one-singular
-        assert degree(A).theta == minors_gcd(A)
+        # most draws are neither smooth nor one-singular, and degree
+        # classifies first, so it refuses the imprimitive ones
+        theta = gcd_of_maximal_minors(homogenize(A), A.D)
+        assert theta == minors_gcd(A)
+        if gcd(*itertools.chain(*homogenize(A))) == 1:
+            assert degree(A).theta == theta
+        else:
+            with pytest.raises(InvalidInstanceError):
+                degree(A)
 
 
 class TestReg:

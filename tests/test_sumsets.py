@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricreg import (GeneratorSet, UnsupportedInstanceError, classify,
-                      compute_holes, sigma, sigma_bounds)
+from toricreg import (CertificationError, GeneratorSet,
+                      UnsupportedInstanceError, classify, compute_holes,
+                      sigma, sigma_bounds, sumsets)
 from toricreg.cli import analysis_bundle
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, veronese)
@@ -134,6 +135,16 @@ class TestSigma:
         assert result.sigma == result.bounds.upper == result.bounds.lower
         assert_matches_reference(one_singular_base(d, 3, 3))
 
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_misstated_threshold_is_caught(self, monkeypatch, shift):
+        # sigma(veronese(3, 4)) = 3 = lower: an overstated lower alone
+        # made it 4 when only the level sigma was checked
+        threshold = sumsets.step_threshold
+        monkeypatch.setattr(sumsets, "step_threshold",
+                            lambda d, D, e=1: threshold(d, D, e) + shift)
+        with pytest.raises(CertificationError, match="step property"):
+            sigma(veronese(3, 4))
+
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from([(2, 4, 2), (2, 6, 3), (3, 4, 2), (2, 4, 4),
                             (2, 3, 3), (3, 3, 3)]),
@@ -180,7 +191,7 @@ class TestVertexNormalization:
         A2 = GeneratorSet(2, swapped)
         report2 = classify(A2)
         assert report2.singular_vertex == 1
-        assert report2.instance == A
+        assert (report2.instance.d, report2.instance.points) == (A.d, A.points)
         assert classify(A).instance is A
         assert sigma(A2).sigma == sigma(A).sigma
 
