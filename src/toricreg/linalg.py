@@ -21,7 +21,6 @@ def bareiss_rank(M) -> int:
     if not rows or not rows[0]:
         return 0
     m, n = len(rows), len(rows[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(n):
@@ -36,10 +35,9 @@ def bareiss_rank(M) -> int:
                 rows[i][j] = (rows[i][j] * p - f * rows[r][j]) // prev
         prev = p
         r += 1
-        rank += 1
         if r == m:
             break
-    return rank
+    return r
 
 
 def bareiss_det(M) -> int:
@@ -73,24 +71,22 @@ def rank_mod_p(M, p: int) -> int:
     if not rows or not rows[0]:
         return 0
     m, n = len(rows), len(rows[0])
-    rank = 0
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        q = rows[r][c]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(q * a - f * b) % p
+                           for a, b in zip(rows[i], rows[r])]
         r += 1
-        rank += 1
         if r == m:
             break
-    return rank
+    return r
 
 
 def gcd_of_maximal_minors(columns: Sequence[Sequence[int]], D: int) -> int:

@@ -103,7 +103,11 @@ def reg(A: GeneratorSet,
 
     For verdict Other no vanishing cutoff is available; a user-supplied
     ``cutoff`` level yields an honest lower bound instead.
+    ``extra_levels`` >= 0 sweeps that many levels past a certified cutoff.
     """
+    if extra_levels < 0:
+        raise PreconditionError(
+            f"extra_levels must be >= 0 (got {extra_levels})")
     report = report or classify(A)
     A = report.instance
     if report.verdict == OTHER:

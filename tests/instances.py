@@ -35,9 +35,9 @@ def family_instance(family, d, D, e, seed):
 
 
 @st.composite
-def arbitrary_sets(draw):
+def arbitrary_sets(draw, max_d=3, max_D=7):
     """The origin, every D*e_i and up to 8 more points of norm <= D."""
-    d, D = draw(st.integers(1, 3)), draw(st.integers(2, 7))
+    d, D = draw(st.integers(1, max_d)), draw(st.integers(2, max_D))
     required = {(0,) * d} | {unit(d, i, D) for i in range(d)}
     pool = sorted(naive_slice_points(d, D) - required)
     extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))

@@ -2,23 +2,34 @@
 
 ``bench/tracer.py`` binds these names when it installs its spans, so a
 rename in the package would break ``bench/run.py --trace 1``.  The
-tracer module is loaded from its file and ``install`` is not called.
+tracer module is loaded from its file and ``install`` is not called,
+except in the traced pass at the end, which runs in a subprocess.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
-def _tracer_names():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    names = [(module, attr) for module, attr, _, _ in tracer.SPANS.values()]
+    return tracer
+
+
+def _tracer_names():
+    names = [(module, attr)
+             for module, attr, _, _ in _load_tracer().SPANS.values()]
     # counted without a span of their own
     return names + [("lattice", "GeneratorSet._next_level"),
                     ("linalg", "bareiss_det")]
@@ -30,3 +41,20 @@ def test_tracer_name_resolves(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_traced_pass_counts_homology(tmp_path):
+    # a quartic analyze through the benchmark worker: the homology cache
+    # must not turn the homology and rank metrics into a constant 0
+    spec, out, spans = (tmp_path / n for n in ("spec", "out", "spans"))
+    quartic = ROOT / "tests" / "golden" / "corpus_instances" / "quartic.json"
+    spec.write_text(json.dumps({"commands": [["analyze", str(quartic)]]}))
+    subprocess.run([sys.executable, str(ROOT / "bench" / "worker.py"),
+                    str(spec), str(out), "--trace", str(spans)],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                   check=True, timeout=120)
+    assert [r["rc"] for r in json.loads(out.read_text())["results"]] == [0]
+    metrics = _load_tracer().layer_metrics(json.loads(spans.read_text()))
+    assert metrics["linalg.rank_s"] > 0
+    assert metrics["homology.betti_calls"] == metrics[
+        "homology.betti_distinct"] > 0

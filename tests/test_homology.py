@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricreg import (PreconditionError, betti_numbers, families, homogenize,
-                      naive_member)
-from toricreg.homology import (HOMOLOGY_CACHE_SIZE, _betti_numbers,
-                               face_tables_for_level, min_nonzero_degree)
+from toricreg import (CertificationError, PreconditionError, betti_numbers,
+                      families, homogenize, homology, naive_member, reg)
+from toricreg.homology import (HOMOLOGY_CACHE_SIZE, face_tables_for_level,
+                               min_nonzero_degree)
 from toricreg.lattice import _UNSEEN
 from toricreg.oracle import homology_recheck, naive_faces
 
@@ -60,12 +60,64 @@ class TestBetti:
         assert betti_numbers(SPHERE, 4, field)[2] == 1
 
     def test_cache_is_bounded(self):
-        # distinct vertex sets of a 13-vertex complex with no edges
+        # every graph on 6 vertices is a valid table: the empty face, the
+        # vertices and the edges chosen by the bits of n
+        edges = [(1 << a) | (1 << b) for a in range(6) for b in range(a)]
+        base = sum(1 << m for m in [0] + [1 << v for v in range(6)])
         for n in range(HOMOLOGY_CACHE_SIZE + 10):
-            faces = frozenset({0} | {1 << j for j in range(13) if n >> j & 1})
-            betti = betti_numbers(faces, 13)
-            assert betti[0] == max(bin(n).count("1") - 1, 0)
-        assert _betti_numbers.cache_info().currsize <= HOMOLOGY_CACHE_SIZE
+            chosen = [e for k, e in enumerate(edges) if n >> k & 1]
+            parts = [1 << v for v in range(6)]  # connected components
+            for e in chosen:
+                hit = [c for c in parts if c & e]
+                parts = [c for c in parts if not c & e] + [hit[0] | hit[-1]]
+            # a connected graph on 6 vertices has a cycle iff > 5 edges
+            expected = (0 if len(parts) > 1
+                        else 1 if len(chosen) > 5 else None)
+            table = base + sum(1 << e for e in chosen)
+            assert min_nonzero_degree(table, 6) == expected, chosen
+        info = min_nonzero_degree.cache_info()
+        assert info.currsize <= HOMOLOGY_CACHE_SIZE == info.maxsize
+
+    def test_homology_runs_once_per_table(self, quartic, monkeypatch):
+        calls = []
+
+        def counted(faces, n_vertices, field="q",
+                    betti_numbers=homology.betti_numbers):
+            calls.append((faces, n_vertices, field))
+            return betti_numbers(faces, n_vertices, field)
+
+        monkeypatch.setattr(homology, "betti_numbers", counted)
+        min_nonzero_degree.cache_clear()
+        assert reg(quartic) == reg(quartic)
+        assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("faces,n,field", [
+        (frozenset({3}), 3, "q"),
+        (masks((), (0,), (1,), (0, 1)), 1, "q"),
+        (frozenset({-1, 0}), 3, "q"),
+        (HOLLOW_TRIANGLE, 3, 4),
+        (HOLLOW_TRIANGLE, 3, 0),
+        (HOLLOW_TRIANGLE, 3, 1),
+        (HOLLOW_TRIANGLE, 3, "f2"),
+    ], ids=["edge-without-vertices", "vertex-1-of-1", "negative-mask",
+            "field-4", "field-0", "field-1", "field-name"])
+    def test_domain_is_checked(self, faces, n, field):
+        with pytest.raises(PreconditionError):
+            betti_numbers(faces, n, field)
+
+    def test_min_nonzero_degree_checks_the_family(self):
+        # bit 3 is the edge {0, 1}, whose vertices are missing
+        with pytest.raises(PreconditionError):
+            min_nonzero_degree(8, 3)
+
+    def test_wrong_rank_is_a_certification_error(self, monkeypatch):
+        def too_high(M, bareiss_rank=homology.bareiss_rank):
+            return bareiss_rank(M) + 1
+
+        monkeypatch.setattr(homology, "bareiss_rank", too_high)
+        min_nonzero_degree.cache_clear()  # a miss runs the ranks
+        with pytest.raises(CertificationError, match="negative betti"):
+            min_nonzero_degree(sum(1 << m for m in HOLLOW_TRIANGLE), 3)
 
     def test_returns_a_fresh_dict(self):
         betti_numbers(HOLLOW_TRIANGLE, 3)[1] = 99

@@ -16,7 +16,7 @@ from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
 from toricreg.linalg import bareiss_det, gcd_of_maximal_minors
-from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
+from toricreg.oracle import homology_recheck, naive_faces
 
 from instances import FAMILIES, arbitrary_sets, family_instance
 
@@ -29,27 +29,25 @@ def minors_gcd(A):
     return g
 
 
-def oracle_witness(A, levels):
+def oracle_witness(A, levels, p=32003):
     """(reg, witness_y, witness_i) over levels 0..levels by the rule of
     docs/formats.md, from the oracles alone: in each level, the least
     dehomogenized member with a given face family stands for that family,
-    and among the families with homology the largest s - (i + 1) wins,
-    ties going to the least homogenized y."""
+    and among the families with homology over F_p the largest s - (i + 1)
+    wins, ties going to the least homogenized y."""
     gens = homogenize(A)
     found = []
     for s in range(levels + 1):
-        least = {}  # face family -> its least dehomogenized point
-        for p in sorted(naive_slice_points(A.d, s * A.D)):
-            y = (s * A.D - sum(p),) + p
-            if oracle.naive_member(gens, y):
-                least.setdefault(naive_faces(gens, y), p)
-        for faces, p in least.items():
+        least = {}  # face family -> its least member, by dehomogenized part
+        for y in sorted(oracle.naive_sumset(gens, s), key=lambda y: y[1:]):
+            least.setdefault(naive_faces(gens, y), y)
+        for faces, y in least.items():
             betti = homology_recheck(
                 [[j for j in range(A.d + 1) if f >> j & 1] for f in faces],
-                32003)
+                p)
             i = min((i for i, b in betti.items() if b), default=None)
             if i is not None:
-                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
+                found.append((i + 1 - s, y, i))
     neg, y, i = min(found)
     return -neg, y, i
 
@@ -187,6 +185,22 @@ class TestReg:
         wider = reg(quartic, extra_levels=2)
         assert wider.reg == base.reg
         assert wider.witness_y == base.witness_y
+
+    def test_negative_extra_levels_rejected(self, quartic):
+        # extra_levels=-4 would sweep to norm 8, below the certified 24
+        with pytest.raises(PreconditionError, match="extra_levels"):
+            reg(quartic, extra_levels=-4)
+
+    @given(st.one_of(
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 2), st.integers(2, 4),
+                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16)),
+        arbitrary_sets(max_d=2, max_D=4)), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_the_oracle_sweep(self, A, levels):
+        for p in (2, 32003):
+            assert regularity._sweep(A, levels, p) == oracle_witness(
+                A, levels, p), (A, p)
 
 
 class TestBounds:
