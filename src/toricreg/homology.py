@@ -89,17 +89,21 @@ def check_face_table_dimension(d: int) -> None:
             f"face tables support at most 6 vertices (d = {d})")
 
 
-def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized T_y face families for every y in S_A of norm s*D.
+def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray,
+                          stable_from: Optional[int] = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized T_y face families for given y in S_A of norm s*D.
 
-    Returns (points, tables): points are the dehomogenized members of the
-    level-s sumset, and tables[r] is an integer whose bit m says whether
+    ``points`` are dehomogenized members of the level-s sumset, and
+    ``stable_from`` is passed to ``GeneratorSet.first_levels``, so a level
+    above the top built one is read from the stable shape.  Returns
+    (points, tables): tables[r] is an integer whose bit m says whether
     the vertex subset with mask m is a face of T_y (bit 0 = homogenizing
     coordinate).  See ``check_face_table_dimension``.
     """
     d, D = A.d, A.D
     check_face_table_dimension(d)
-    pts = A.level(s).points
+    pts = np.asarray(points, dtype=np.int64)
     tables = np.zeros(pts.shape[0], dtype=np.int64)
     for axes in range(1 << d):
         k = bin(axes).count("1")
@@ -108,11 +112,14 @@ def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarr
         # the same dehomogenized part, so one lookup decides both faces
         v = np.array([D if axes >> j & 1 else 0 for j in range(d)],
                      dtype=np.int64)
-        first = A.first_levels(pts - v)
+        first = A.first_levels(pts - v, stable_from)
         for bit, level in ((axes << 1, s - k), (axes << 1 | 1, s - k - 1)):
             # in place: no int64 temporary per bit
             np.bitwise_or(tables, np.int64(1) << bit, out=tables,
                           where=first <= level)
+    # the empty face is bit 0: every member of sA has it
+    if not (tables & 1).all():
+        raise PreconditionError(f"a row is not in the level-{s} sumset")
     return pts, tables
 
 
@@ -120,9 +127,13 @@ def face_tables_for_level(A: GeneratorSet, s: int) -> tuple[np.ndarray, np.ndarr
 def min_nonzero_degree(table: int, n_vertices: int,
                        field: FieldTag = "q") -> Optional[int]:
     """Smallest i with betti_i != 0 for the face family encoded by table
-    (bit m set when the vertex subset with mask m is a face).  The answer
-    is cached per (table, n_vertices, field); betti_numbers runs, and
-    checks the family, only on a miss."""
+    (bit m set when the vertex subset with mask m is a face), a
+    non-negative int below 2**(2**n_vertices).  The answer is cached per
+    (table, n_vertices, field); betti_numbers runs, and checks the
+    family, only on a miss."""
+    if table < 0 or table >> (1 << n_vertices):
+        raise PreconditionError(
+            f"table {table} is not a face set on {n_vertices} vertices")
     faces = frozenset(m for m in range(1 << n_vertices) if table >> m & 1)
     betti = betti_numbers(faces, n_vertices, field)
     return min((i for i, b in betti.items() if b), default=None)

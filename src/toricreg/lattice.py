@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -227,7 +227,8 @@ class GeneratorSet:
             self._next_level()
         return SumsetLevel(self, s)
 
-    def first_levels(self, points: np.ndarray) -> np.ndarray:
+    def first_levels(self, points: np.ndarray,
+                     stable_from: Optional[int] = None) -> np.ndarray:
         """First level holding each row of an (n, d) array of points.
 
         The engine's one membership query: once level s is built, y is in
@@ -235,16 +236,53 @@ class GeneratorSet:
         built (a negative coordinate, a norm not divisible by e, or a norm
         above that slice) get ``_UNSEEN``, as do points no level built
         holds.
+
+        ``stable_from`` is a built level from which on, as ``sigma``
+        certifies from its ``stop``, every level is its slice minus the
+        gaps of that level.  A row of norm above the largest slice built
+        then first appears at the level of its norm, ceil(|y|/D), and no
+        level above the top built one is needed to answer it.
         """
         pts = np.asarray(points, dtype=np.int64)
         out = np.full(pts.shape[0], _UNSEEN, dtype=np.int32)
         sl = self._top
+        if stable_from is not None and (sl is None or sl.s < stable_from):
+            raise PreconditionError(
+                f"stable level {stable_from} is not built")
         if sl is None:
             return out
         norms = pts.sum(axis=1)
-        ok = (pts >= 0).all(axis=1) & (norms <= sl.N) & (norms % self.e == 0)
-        out[ok] = self._first[sl.rank_array(pts[ok])]
+        ok = (pts >= 0).all(axis=1) & (norms % self.e == 0)
+        inside = ok & (norms <= sl.N)
+        out[inside] = self._first[sl.rank_array(pts[inside])]
+        if stable_from is not None:
+            above = ok & (norms > sl.N)
+            out[above] = -(-norms[above] // self.D)
         return out
+
+    def distinct_members(self, points: np.ndarray, s: int,
+                         stable_from: Optional[int] = None) -> np.ndarray:
+        """The distinct rows of an (n, d) array of points that lie in sA,
+        read by ``first_levels`` with the same ``stable_from``.
+
+        Rows are told apart by an int64 key: the rank for a row inside the
+        largest slice built, and a mixed-radix key of the coordinates for
+        a row above it.  The rows come back in key order.
+        """
+        pts = np.asarray(points, dtype=np.int64)
+        pts = pts[self.first_levels(pts, stable_from) <= s]
+        sl = self._top
+        inside = pts.sum(axis=1) <= sl.N
+        low = sl.unrank(np.unique(sl.rank_array(pts[inside])))
+        high = pts[~inside]
+        radix = int(high.max(initial=0)) + 1
+        if radix ** self.d > np.iinfo(np.int64).max:
+            raise ResourceLimitError(
+                f"level {s} rows of coordinates up to {radix - 1} have no "
+                f"int64 key in dimension {self.d}")
+        _, first = np.unique(high @ radix ** np.arange(self.d),
+                             return_index=True)
+        return np.concatenate([low, high[first]])
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is

@@ -4,7 +4,10 @@ reg is the maximum of |y|/D - (i+1) over semigroup elements y whose
 complex T_y has nonvanishing reduced homology in degree i.  The
 enumeration stops at a certified cutoff: past level sigma+d+1 (smooth)
 or sigma+d+2 (one singular point) every complex is provably acyclic in
-all degrees up to d.
+all degrees up to d.  Below it only the rows whose T_y can carry
+homology get a face table (see ``_candidates``), and no level above
+sigma's ``stop`` (or the last level with box rows) is built: sigma's
+certificate gives every higher level as its slice minus the holes.
 """
 
 from __future__ import annotations
@@ -75,20 +78,73 @@ def degree(A: GeneratorSet,
     return DegreeResult(theta, deg, codim)
 
 
-def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
+def _candidates(A: GeneratorSet, s: int, gaps, stable_from: Optional[int]
+                ) -> np.ndarray:
+    """The distinct rows of level s whose T_y can carry homology.
+
+    Say every nonempty F with y - D*e_F >= 0 (homogenized) leaves y -
+    D*e_F in S_A.  Then T_y is the full simplex on J = {j : y_j >= D},
+    which is acyclic unless J is empty, and then it is {emptyset}.  So a
+    row needs its table only when it is a gap shift g + D*e_F, g a gap of
+    level s - |F| (e_0 adds nothing to the dehomogenized part), or a box
+    row, with every homogenized y_j <= D - 1.  ``gaps(t)`` gives the
+    gaps of level t >= 1.
+    """
+    d, D = A.d, A.D
+    rows = []
+    for axes in range(1 << d):
+        k = bin(axes).count("1")
+        v = np.array([D if axes >> j & 1 else 0 for j in range(d)],
+                     dtype=np.int64)
+        # F is the axes, or the axes and the homogenizing vertex
+        for t in (s - k, s - k - 1) if axes else (s - 1,):
+            if t >= 1:
+                rows.append(gaps(t) + v)
+    if s * D <= (d + 1) * (D - 1):
+        pts = A.level(s).points
+        rows.append(pts[(pts < D).all(axis=1)
+                        & (pts.sum(axis=1) > s * D - D)])
+    return A.distinct_members(np.concatenate(rows), s, stable_from)
+
+
+def _sweep(A: GeneratorSet, max_level: int, field: FieldTag,
+           stop: Optional[int] = None):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
     0..max_level.  Each level and face table offers its least point,
     and the least homogenized y wins among those of the largest value.
-    Level 0 always offers the empty complex."""
-    A.level(max_level)  # checks the cap of the top level before level 0
+    Level 0 always offers the empty complex.
+
+    Only the rows ``_candidates`` picks are tabled; every row of a face
+    family with homology is one, so the least point is unchanged.  With
+    ``stop`` (``sigma``'s, from which on the gaps are final), no level
+    above top = max(stop, floor((d+1)(D-1)/D)), the last with box rows,
+    is built: higher levels are read from the stable shape.
+    """
+    d, D = A.d, A.D
+    top = max_level if stop is None else min(
+        max_level, max(stop, (d + 1) * (D - 1) // D))
+    A.level(top)  # checks the cap of the top level before level 0
+    held = {}  # the gaps of the d + 1 levels below s, and of top
+
+    def gaps(t):
+        t = min(t, top)
+        if t not in held:
+            held[t] = A.level(t).gaps()
+        return held[t]
+
     found = []  # (-value, y, i)
     for s in range(max_level + 1):
-        pts, tables = face_tables_for_level(A, s)
+        if s - d - 2 < top:  # no longer needed; top's gaps serve above it
+            held.pop(s - d - 2, None)
+        pts, tables = face_tables_for_level(
+            A, s, _candidates(A, s, gaps, stop), stop)
+        # uint64, so a table with the 6-vertex face (bit 63) stays >= 0
+        tables = tables.view(np.uint64)
         for t in np.unique(tables):
-            i = min_nonzero_degree(int(t), A.d + 1, field)
+            i = min_nonzero_degree(int(t), d + 1, field)
             if i is not None:
                 p = min(map(tuple, pts[tables == t].tolist()))
-                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
+                found.append((i + 1 - s, (s * D - sum(p),) + p, i))
     neg, y, i = min(found)
     return -neg, y, i
 
@@ -134,7 +190,8 @@ def reg(A: GeneratorSet,
 
     smooth = report.verdict == SMOOTH
     max_level = sg + A.d + (1 if smooth else 2) + extra_levels
-    value, y, i = _sweep(A, max_level, field)
+    value, y, i = _sweep(A, max_level, field,
+                         sigma_result.window_verified[1])
 
     if smooth and value != sg:
         raise CertificationError(

@@ -210,7 +210,7 @@ def test_criterion_07_oracle_equivalence(quartic, even_sextic, sextic):
         sr = sigma(A)
         tables = set()
         for s in range(sr.sigma + A.d + 3):
-            _, tbl = face_tables_for_level(A, s)
+            _, tbl = face_tables_for_level(A, s, A.level(s).points)
             tables.update(int(t) for t in np.unique(tbl))
         for t in tables:
             faces = frozenset(m for m in range(8) if t >> m & 1)

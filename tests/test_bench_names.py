@@ -56,5 +56,8 @@ def test_traced_pass_counts_homology(tmp_path):
     assert [r["rc"] for r in json.loads(out.read_text())["results"]] == [0]
     metrics = _load_tracer().layer_metrics(json.loads(spans.read_text()))
     assert metrics["linalg.rank_s"] > 0
+    # the face-table counts read the tables' rows, not a constant 0
+    assert metrics["homology.face_table_rows"] > 0
+    assert metrics["regularity.sweep_levels"] > 0
     assert metrics["homology.betti_calls"] == metrics[
         "homology.betti_distinct"] > 0

@@ -144,6 +144,15 @@ class TestBetti:
         assert min_nonzero_degree(table, 3) is None
         assert min_nonzero_degree(1, 3) == -1  # just the empty face
 
+    def test_min_nonzero_degree_checks_the_table_bits(self):
+        # bit 8 is no vertex subset of 3 vertices; a negative table has
+        # infinitely many bits
+        for table in (1 | 1 << 8, -1, -(1 << 63)):
+            with pytest.raises(PreconditionError, match="face set"):
+                min_nonzero_degree(table, 3)
+        # the full simplex on 6 vertices sets bit 63 of a 64-bit table
+        assert min_nonzero_degree((1 << 64) - 1, 6) is None
+
 
 def in_semigroup(A, y):
     """Is the homogenized y in S_A?  Every lifted generator has norm D, so
@@ -211,12 +220,19 @@ class TestFaceComplexes:
 
     def test_face_tables_match_naive_faces(self, quartic):
         for s in range(4):
-            pts, tables = face_tables_for_level(quartic, s)
+            pts, tables = face_tables_for_level(
+                quartic, s, quartic.level(s).points)
             for row, t in zip(pts, tables):
                 p = tuple(int(c) for c in row)
                 y = (s * quartic.D - sum(p),) + p
                 expected = sum(1 << m for m in t_faces(quartic, y))
                 assert int(t) == expected
+
+    def test_face_tables_refuse_a_row_outside_the_level(self, quartic):
+        # (1, 1) is the quartic's hole; (4, 4) lies in level 2, not 1
+        for s, row in ((2, [1, 1]), (1, [4, 4])):
+            with pytest.raises(PreconditionError, match="not in the level"):
+                face_tables_for_level(quartic, s, np.array([[0, 0], row]))
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from(["2", "D"]), st.integers(0, 3),
@@ -228,7 +244,7 @@ class TestFaceComplexes:
                                                  seed):
         # e = D puts the singular vertex's weight on the homogenizing bit
         A = family_instance(family, d, D, D if e == "D" else 2, seed)
-        pts, tables = face_tables_for_level(A, s)
+        pts, tables = face_tables_for_level(A, s, A.level(s).points)
         rng = random.Random(seed)
         for r in rng.sample(range(len(pts)), min(len(pts), 4)):
             p = tuple(int(c) for c in pts[r])

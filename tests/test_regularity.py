@@ -3,15 +3,19 @@ import random
 from fractions import Fraction
 from math import comb, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricreg import (CertificationError, GeneratorSet, InvalidInstanceError,
                       PreconditionError, UnsupportedInstanceError, classify,
-                      degree, eg_check, eg_inequality_suite,
+                      degree, eg_check, eg_inequality_suite, families,
                       herzog_hibi_bound, homogenize, one_singular_bound,
                       oracle, reg, regularity, sigma, sizeA_bound)
+from toricreg.classify import OTHER
+from toricreg.cli import analysis_bundle
+from toricreg.homology import face_tables_for_level, min_nonzero_degree
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
@@ -27,6 +31,36 @@ def minors_gcd(A):
     for cols in itertools.combinations(homogenize(A), A.d + 1):
         g = gcd(g, bareiss_det(cols))
     return g
+
+
+def full_sweep(A, max_level, field):
+    """``regularity._sweep`` as it was before it chose its rows: every
+    point of every level 0..max_level gets a face table."""
+    A.level(max_level)
+    found = []  # (-value, y, i)
+    for s in range(max_level + 1):
+        pts, tables = face_tables_for_level(A, s, A.level(s).points)
+        tables = tables.view(np.uint64)
+        for t in np.unique(tables):
+            i = min_nonzero_degree(int(t), A.d + 1, field)
+            if i is not None:
+                p = min(map(tuple, pts[tables == t].tolist()))
+                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
+    neg, y, i = min(found)
+    return -neg, y, i
+
+
+def box_top(A):
+    """The last level that can hold a row with every homogenized y_j
+    below D."""
+    return (A.d + 1) * (A.D - 1) // A.D
+
+
+#: The (d, D, e) cells of the acceptance corpora (criteria 5 and 6).
+ACCEPTANCE_CELLS = ([("minimal_smooth", d, D, 1) for d in (1, 2, 3)
+                     for D in (3, 4, 5)]
+                    + [("one_singular", d, D, e) for d in (2, 3)
+                       for D in (4, 6) for e in (2, D)])
 
 
 def oracle_witness(A, levels, p=32003):
@@ -201,6 +235,91 @@ class TestReg:
         for p in (2, 32003):
             assert regularity._sweep(A, levels, p) == oracle_witness(
                 A, levels, p), (A, p)
+
+
+class TestCandidateRows:
+    @given(st.one_of(
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 3), st.integers(2, 5),
+                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16)),
+        st.builds(lambda cell, seed: family_instance(*cell, seed),
+                  st.sampled_from(ACCEPTANCE_CELLS), st.integers(0, 2**16)),
+        arbitrary_sets(max_d=3, max_D=5)),
+        st.integers(0, 2), st.sampled_from(["q", 2, 32003]))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_the_full_row_sweep(self, A, extra, field):
+        try:
+            report = classify(A)
+        except InvalidInstanceError:  # an imprimitive arbitrary set
+            report = None
+        if report is None or report.verdict == OTHER or report.reduced:
+            # no settled stop: every level up to the cutoff is built
+            cutoff = 2 + extra
+            got = regularity._sweep(A, cutoff, field)
+            assert got == full_sweep(GeneratorSet(A.d, A.points), cutoff,
+                                     field), (A, field)
+            return
+        B = report.instance
+        sr = sigma(B, report)
+        stop = sr.window_verified[1]
+        cutoff = sr.sigma + B.d + 2 + extra
+        got = regularity._sweep(B, cutoff, field, stop)
+        rr = reg(B, report, sr, field=field, extra_levels=extra)
+        # nothing above the settled top was built
+        assert B._top.s == max(stop, box_top(B))
+        plain = regularity._sweep(GeneratorSet(B.d, B.points), cutoff, field)
+        assert got == plain == full_sweep(B, cutoff, field), (A, field)
+        assert (rr.reg, rr.witness_y, rr.witness_i) == full_sweep(
+            B, rr.cutoff_norm // B.D, field), (A, field)
+
+    @given(st.one_of(
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 3), st.integers(2, 5),
+                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16)),
+        arbitrary_sets(max_d=3, max_D=5)), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_left_out_are_full_simplices(self, A, level):
+        # the lemma behind the candidate rows, on full levels
+        d, D = A.d, A.D
+        pts, tables = face_tables_for_level(A, level, A.level(level).points)
+        cand = regularity._candidates(
+            A, level, lambda t: A.level(t).gaps(), None)
+        chosen = set(map(tuple, cand.tolist()))
+        assert len(chosen) == len(cand)
+        assert chosen <= set(map(tuple, pts.tolist()))
+        for row, t in zip(pts.tolist(), tables.tolist()):
+            if tuple(row) in chosen:
+                continue
+            y = (level * D - sum(row),) + tuple(row)
+            J = sum(1 << j for j in range(d + 1) if y[j] >= D)
+            assert J, (A, y)
+            assert t == sum(1 << m for m in range(J + 1) if m & J == m), (
+                A, y)
+
+    @pytest.mark.parametrize("make", [
+        families.quartic_singular_surface, families.sextic_surface,
+        families.even_sextic_surface, lambda: minimal_smooth(3, 4),
+        lambda: veronese(4, 2), lambda: veronese(5, 2),
+        lambda: minimal_smooth(2, 5)])
+    def test_no_level_above_the_settled_top(self, make):
+        for extra in (0, 2):
+            A = make()
+            report = classify(A)
+            assert report.instance is A
+            sr = sigma(A, report)
+            top = max(sr.window_verified[1], box_top(A))
+            reg(A, report, sr, extra_levels=extra)
+            assert A._top.s == top
+        A = make()
+        analysis_bundle(A, "q", None)
+        assert A._top.s == top
+
+    def test_veronese_5_2(self):
+        # its witness is a box row; a sweep table with the 6-vertex face
+        # has bit 63 set
+        result = reg(veronese(5, 2))
+        assert (result.reg, result.witness_y, result.witness_i) == (
+            3, (1,) * 6, -1)
 
 
 class TestBounds:
