@@ -3,8 +3,8 @@ and SVG plots of planar sumsets.
 
 Exit codes: 0 success; 1 usage, I/O, validation, internal-certification
 or recursion-depth errors; 2 instance outside the certified families, over
-the resource cap, or out of memory.  All JSON documents carry schema
-"toric-reg/1".
+the resource cap, out of memory, or a corpus worker process that died.
+All JSON documents carry schema "toric-reg/1".
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -148,28 +150,59 @@ def generate(family: str, d: int, D: int, e: Optional[int],
     raise PreconditionError(f"unknown family {family!r}")
 
 
+def _corpus_row(path: Path, field, cutoff: Optional[int],
+                max_slice: int) -> list:
+    """The CSV row of one instance file; a verdict-Other instance without
+    a cutoff keeps its analysis columns blank."""
+    A = load_instance(str(path), max_slice)
+    try:
+        bundle = analysis_bundle(A, field, cutoff)
+    except UnsupportedInstanceError:
+        return [path.name, A.d, A.D, A.e, OTHER, "", "", "", "", "", ""]
+    sg = (bundle["sigma"] or {}).get("sigma", "")
+    rg = bundle["regularity"]["reg"]
+    eg = bundle["eisenbud_goto"]
+    return [path.name, A.d, A.D, bundle["classification"]["e"],
+            bundle["classification"]["verdict"], sg, rg,
+            bundle["degree"]["degree"], bundle["degree"]["codim"],
+            eg["bound"] - eg["reg"], rg - sg if sg != "" else ""]
+
+
 def run_corpus(directory: str, field, cutoff: Optional[int],
-               max_slice: int) -> str:
+               max_slice: int, threads: Optional[int] = None) -> str:
+    """The corpus CSV, rows in sorted-filename order.  Files are analyzed
+    in min(threads, cpu count, file count) forked worker processes, or in
+    this process when that is at most 1; the CSV, and the first failing
+    file in sorted order, are the same either way."""
+    paths = sorted(Path(directory).glob("*.json"))
+    args = (paths, repeat(field), repeat(cutoff), repeat(max_slice))
+    workers = min(threads or 1, os.cpu_count() or 1, len(paths))
+    if workers <= 1:
+        rows = list(map(_corpus_row, *args))
+    else:
+        # imported here: a command that never forks pays no import for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, named since the default start method varies by Python
+        # version: workers inherit the imported numpy and package, where
+        # spawn would import them again in each.  All workers are forked
+        # at the first submit, before the pool starts its manager thread.
+        # Chunks of one file balance a per-file cost that varies tenfold.
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            rows = list(pool.map(_corpus_row, *args))
+        except BrokenProcessPool as exc:
+            raise ResourceLimitError(f"a corpus worker died: {exc}") from exc
+        finally:
+            pool.shutdown(cancel_futures=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["file", "d", "D", "e", "verdict", "sigma", "reg",
                      "degree", "codim", "eg_slack", "reg_sigma_gap"])
-    for path in sorted(Path(directory).glob("*.json")):
-        A = load_instance(str(path), max_slice)
-        try:
-            bundle = analysis_bundle(A, field, cutoff)
-        except UnsupportedInstanceError:
-            writer.writerow([path.name, A.d, A.D, A.e, OTHER,
-                             "", "", "", "", "", ""])
-            continue
-        sg = (bundle["sigma"] or {}).get("sigma", "")
-        rg = bundle["regularity"]["reg"]
-        eg = bundle["eisenbud_goto"]
-        writer.writerow([
-            path.name, A.d, A.D, bundle["classification"]["e"],
-            bundle["classification"]["verdict"], sg, rg,
-            bundle["degree"]["degree"], bundle["degree"]["codim"],
-            eg["bound"] - eg["reg"], rg - sg if sg != "" else ""])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -194,8 +227,8 @@ def _common_options() -> argparse.ArgumentParser:
     c.add_argument("--cutoff", type=int,
                    help="enumeration level for uncertified instances")
     c.add_argument("--threads", type=int,
-                   help="accepted for compatibility; computation is "
-                        "single-threaded and deterministic")
+                   help="worker processes for corpus (default 1); other "
+                        "commands ignore it")
     c.add_argument("--max-slice", type=int,
                    help="cap on lattice points per simplex slice")
     c.add_argument("--seed", type=int,
@@ -273,7 +306,7 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "corpus":
         sys.stdout.write(run_corpus(args.directory, field, args.cutoff,
-                                    args.max_slice))
+                                    args.max_slice, args.threads))
         return 0
 
     A = load_instance(args.instance, args.max_slice)

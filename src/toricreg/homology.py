@@ -123,14 +123,23 @@ def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray,
     return pts, tables
 
 
-@functools.lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def min_nonzero_degree(table: int, n_vertices: int,
                        field: FieldTag = "q") -> Optional[int]:
     """Smallest i with betti_i != 0 for the face family encoded by table
     (bit m set when the vertex subset with mask m is a face), a
     non-negative int below 2**(2**n_vertices).  The answer is cached per
     (table, n_vertices, field); betti_numbers runs, and checks the
-    family, only on a miss."""
+    family and the field, only on a miss."""
+    # the cache key must hash, so a field of another type fails here
+    if not (isinstance(field, int) or field == "q"):
+        raise PreconditionError(f"field must be 'q' or a prime "
+                                f"(got {field!r})")
+    return _min_nonzero_degree(table, n_vertices, field)
+
+
+@functools.lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
+def _min_nonzero_degree(table: int, n_vertices: int,
+                        field: FieldTag) -> Optional[int]:
     if table < 0 or table >> (1 << n_vertices):
         raise PreconditionError(
             f"table {table} is not a face set on {n_vertices} vertices")

@@ -61,3 +61,23 @@ def test_traced_pass_counts_homology(tmp_path):
     assert metrics["regularity.sweep_levels"] > 0
     assert metrics["homology.betti_calls"] == metrics[
         "homology.betti_distinct"] > 0
+
+
+def test_worker_runs_corpus_in_a_pool(tmp_path):
+    # the corpus-small path: cli.main in the worker process, stdout
+    # redirected to a StringIO, files analyzed by forked pool workers
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    golden = ROOT / "tests" / "golden"
+    for f in (golden / "corpus_instances").glob("*.json"):
+        (corpus / f.name).write_text(f.read_text())
+    spec, out = tmp_path / "spec", tmp_path / "out"
+    spec.write_text(json.dumps(
+        {"commands": [["corpus", str(corpus), "--threads", "2"]]}))
+    subprocess.run([sys.executable, str(ROOT / "bench" / "worker.py"),
+                    str(spec), str(out)],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                   check=True, timeout=120)
+    [result] = json.loads(out.read_text())["results"]
+    assert result["rc"] == 0, result["stderr"]
+    assert result["stdout"] == (golden / "corpus.csv").read_text()

@@ -1,5 +1,9 @@
 import json
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,12 +152,15 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["classification"]["verdict"] == "Smooth"
 
-    def test_d6_refused_before_sigma(self, capsys, tmp_path, write_instance):
+    def test_d6_refused_before_sigma(self, capsys, tmp_path, write_instance,
+                                     quartic):
         # reg refuses d >= 6, so analyze and corpus refuse it before
-        # sigma builds a level
+        # sigma builds a level; the quartic gives the pool a second file
         A = families.veronese(6, 2)
         path = write_instance(A)
-        for argv in (["analyze", path], ["corpus", str(tmp_path)]):
+        write_instance(quartic, "quartic.json")
+        for argv in (["analyze", path], ["corpus", str(tmp_path)],
+                     ["corpus", str(tmp_path), "--threads", "2"]):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == ""
             assert "at most 6 vertices" in err
@@ -317,14 +324,34 @@ class TestSubcommands:
         assert calls == [{"field": 2, "cutoff": 4}]
 
 
+def _golden_corpus(directory: Path) -> str:
+    for f in (GOLDEN / "corpus_instances").glob("*.json"):
+        shutil.copy(f, directory / f.name)
+    return str(directory)
+
+
+def _die(*args):
+    # run in the test's own process it fails instead of ending the run
+    assert multiprocessing.parent_process() is not None, "not in a worker"
+    os._exit(1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """--threads 2 takes the pool branch on any machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 class TestCorpus:
-    def test_golden_csv(self, capsys, tmp_path):
-        src = GOLDEN / "corpus_instances"
-        for f in src.glob("*.json"):
-            shutil.copy(f, tmp_path / f.name)
-        code, out, _ = run(capsys, "corpus", str(tmp_path))
-        assert code == 0
-        assert out == (GOLDEN / "corpus.csv").read_text()
+    def test_golden_csv(self, capsys, tmp_path, two_cpus):
+        # 8 workers asked for, more than the three files
+        directory = _golden_corpus(tmp_path)
+        for threads in ([], ["--threads", "1"], ["--threads", "2"],
+                        ["--threads", "8"]):
+            code, out, _ = run(capsys, "corpus", directory, *threads)
+            assert code == 0
+            assert out == (GOLDEN / "corpus.csv").read_text()
+            assert multiprocessing.active_children() == []
 
     def test_other_row_left_blank(self, capsys, tmp_path):
         (tmp_path / "other.json").write_text(
@@ -332,3 +359,52 @@ class TestCorpus:
         _, out, _ = run(capsys, "corpus", str(tmp_path))
         row = out.splitlines()[1].split(",")
         assert row[4] == "Other" and row[5] == ""
+
+    def test_empty_directory_prints_the_header(self, capsys, tmp_path):
+        for threads in ("1", "2"):
+            code, out, _ = run(capsys, "corpus", str(tmp_path),
+                               "--threads", threads)
+            assert code == 0
+            assert out == ("file,d,D,e,verdict,sigma,reg,degree,codim,"
+                           "eg_slack,reg_sigma_gap\n")
+
+    @pytest.mark.parametrize("invalid,d6", [("a.json", "b.json"),
+                                            ("b.json", "a.json")])
+    def test_first_failing_file_in_sorted_order(self, capsys, tmp_path,
+                                                write_instance, two_cpus,
+                                                invalid, d6):
+        directory = _golden_corpus(tmp_path)
+        (tmp_path / invalid).write_text('{"d": 2, "A": [[0, 0], [4, 0]]}')
+        write_instance(families.veronese(6, 2), d6)
+        outcomes = []
+        for threads in ("1", "2"):
+            code, out, err = run(capsys, "corpus", directory,
+                                 "--threads", threads)
+            assert code == 1 and out == ""
+            assert multiprocessing.active_children() == []
+            outcomes.append((code, err))
+        assert outcomes[0] == outcomes[1]
+        first = "at most 6 vertices" if d6 < invalid else "4*e_2"
+        assert err.startswith("error:") and first in err
+
+    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch,
+                                           tmp_path, two_cpus):
+        directory = _golden_corpus(tmp_path)
+        monkeypatch.setattr(cli, "_corpus_row", _die)
+        code, out, err = run(capsys, "corpus", directory, "--threads", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: a corpus worker died")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    def test_import_loads_no_pool(self):
+        # only a corpus run with more than one worker imports the pool
+        probe = ("import sys, toricreg.cli; print(sorted(m for m in "
+                 "sys.modules if m.startswith(('concurrent', "
+                 "'multiprocessing'))))")
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
+            timeout=60).stdout
+        assert out == "[]\n"

@@ -75,7 +75,7 @@ class TestBetti:
                         else 1 if len(chosen) > 5 else None)
             table = base + sum(1 << e for e in chosen)
             assert min_nonzero_degree(table, 6) == expected, chosen
-        info = min_nonzero_degree.cache_info()
+        info = homology._min_nonzero_degree.cache_info()
         assert info.currsize <= HOMOLOGY_CACHE_SIZE == info.maxsize
 
     def test_homology_runs_once_per_table(self, quartic, monkeypatch):
@@ -87,7 +87,7 @@ class TestBetti:
             return betti_numbers(faces, n_vertices, field)
 
         monkeypatch.setattr(homology, "betti_numbers", counted)
-        min_nonzero_degree.cache_clear()
+        homology._min_nonzero_degree.cache_clear()
         assert reg(quartic) == reg(quartic)
         assert calls and len(calls) == len(set(calls))
 
@@ -115,7 +115,7 @@ class TestBetti:
             return bareiss_rank(M) + 1
 
         monkeypatch.setattr(homology, "bareiss_rank", too_high)
-        min_nonzero_degree.cache_clear()  # a miss runs the ranks
+        homology._min_nonzero_degree.cache_clear()  # a miss runs the ranks
         with pytest.raises(CertificationError, match="negative betti"):
             min_nonzero_degree(sum(1 << m for m in HOLLOW_TRIANGLE), 3)
 
@@ -152,6 +152,12 @@ class TestBetti:
                 min_nonzero_degree(table, 3)
         # the full simplex on 6 vertices sets bit 63 of a 64-bit table
         assert min_nonzero_degree((1 << 64) - 1, 6) is None
+
+    @pytest.mark.parametrize("field", [[2], {"p": 2}, 2.0, "f2", 4])
+    def test_min_nonzero_degree_checks_the_field(self, field):
+        # an unhashable field is refused before the cache looks it up
+        with pytest.raises(PreconditionError, match="field"):
+            min_nonzero_degree(1, 3, field)
 
 
 def in_semigroup(A, y):
