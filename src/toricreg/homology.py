@@ -89,17 +89,15 @@ def check_face_table_dimension(d: int) -> None:
             f"face tables support at most 6 vertices (d = {d})")
 
 
-def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray,
-                          stable_from: Optional[int] = None
+def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized T_y face families for given y in S_A of norm s*D.
 
     ``points`` are dehomogenized members of the level-s sumset, and
-    ``stable_from`` is passed to ``GeneratorSet.first_levels``, so a level
-    above the top built one is read from the stable shape.  Returns
-    (points, tables): tables[r] is an integer whose bit m says whether
-    the vertex subset with mask m is a face of T_y (bit 0 = homogenizing
-    coordinate).  See ``check_face_table_dimension``.
+    ``GeneratorSet.first_levels`` reads their faces.  Returns (points,
+    tables): tables[r] is an integer whose bit m says whether the vertex
+    subset with mask m is a face of T_y (bit 0 = homogenizing coordinate).
+    See ``check_face_table_dimension``.
     """
     d, D = A.d, A.D
     check_face_table_dimension(d)
@@ -112,7 +110,7 @@ def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray,
         # the same dehomogenized part, so one lookup decides both faces
         v = np.array([D if axes >> j & 1 else 0 for j in range(d)],
                      dtype=np.int64)
-        first = A.first_levels(pts - v, stable_from)
+        first = A.first_levels(pts - v)
         for bit, level in ((axes << 1, s - k), (axes << 1 | 1, s - k - 1)):
             # in place: no int64 temporary per bit
             np.bitwise_or(tables, np.int64(1) << bit, out=tables,

@@ -6,10 +6,10 @@ divisible by ``e``), ranked by norm first and colexicographically inside a
 norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
 rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
 engine: its one record holds, for each rank, the first level s with the
-point in sA, and it keeps one slice, its top built level's, whose tables
-rank and unrank every level below.  ``first_levels`` reads that record and
-is the engine's one membership query; ``SumsetLevel`` objects are views of
-the same record that take their slice sizes from the closed form.
+point in sA, and one slice, its top built level's, ranks every level; once
+the gaps are final, no level above it is built.  ``first_levels`` reads
+that record and is the engine's one membership query; ``SumsetLevel``
+objects are views of it that take their slice sizes from the closed form.
 
 Ranks are private to this module: levels hand out their members and gaps
 as (n, d) arrays of points in rank order, so other modules read norms and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,8 +150,9 @@ class SumsetLevel:
 
     @property
     def cardinality(self) -> int:
-        """|sA|."""
-        return int(np.count_nonzero(self._A._first[:self.size] <= self.s))
+        """|sA|, the slice size minus the gaps."""
+        return self.size - int(
+            np.count_nonzero(self._A._first[:self.size] > self.s))
 
     def gaps(self) -> np.ndarray:
         """(size - cardinality, d) array of slice(s) \\ sA, in rank order,
@@ -162,8 +163,12 @@ class SumsetLevel:
     @property
     def points(self) -> np.ndarray:
         """(cardinality, d) array of sA, in rank order."""
-        return self._A._top.unrank(
-            np.flatnonzero(self._A._first[:self.size] <= self.s))
+        A = self._A
+        sl = A._top if self.s <= A._top.s else SimplexSlice(
+            A.d, A.D, self.s, A.e, A.max_slice_size)
+        member = np.ones(self.size, dtype=bool)
+        member[:len(A._first)] = A._first[:self.size] <= self.s
+        return sl.unrank(np.flatnonzero(member))
 
 
 class GeneratorSet:
@@ -215,81 +220,81 @@ class GeneratorSet:
         self.max_slice_size = max_slice_size
         self._top: SimplexSlice | None = None
         self._first = np.zeros(0, dtype=np.int32)
+        self._stable = False
 
     # -- sumsets --------------------------------------------------------
 
     def level(self, s: int) -> SumsetLevel:
         if s < 0:
             raise PreconditionError("level must be >= 0")
-        # slices grow with s, so this covers every level built below
-        capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
-        while self._top is None or self._top.s < s:
+        if not self._stable:
+            # slices grow with s, so this covers every level built below
+            capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
+        while not self._stable and (self._top is None or self._top.s < s):
             self._next_level()
         return SumsetLevel(self, s)
 
-    def first_levels(self, points: np.ndarray,
-                     stable_from: Optional[int] = None) -> np.ndarray:
+    def first_levels(self, points: np.ndarray) -> np.ndarray:
         """First level holding each row of an (n, d) array of points.
 
         The engine's one membership query: once level s is built, y is in
-        sA iff its first level is <= s.  Rows outside the largest slice
-        built (a negative coordinate, a norm not divisible by e, or a norm
-        above that slice) get ``_UNSEEN``, as do points no level built
-        holds.
-
-        ``stable_from`` is a built level from which on, as ``sigma``
-        certifies from its ``stop``, every level is its slice minus the
-        gaps of that level.  A row of norm above the largest slice built
-        then first appears at the level of its norm, ceil(|y|/D), and no
-        level above the top built one is needed to answer it.
+        sA iff its first level is <= s.  Rows with a negative coordinate
+        or a norm not divisible by e get ``_UNSEEN``, as do points no level
+        built holds and, unless the set is stable, rows above the largest
+        slice built; a stable set gives those the level of |y|, ceil(|y|/D).
         """
         pts = np.asarray(points, dtype=np.int64)
         out = np.full(pts.shape[0], _UNSEEN, dtype=np.int32)
         sl = self._top
-        if stable_from is not None and (sl is None or sl.s < stable_from):
-            raise PreconditionError(
-                f"stable level {stable_from} is not built")
         if sl is None:
             return out
         norms = pts.sum(axis=1)
         ok = (pts >= 0).all(axis=1) & (norms % self.e == 0)
         inside = ok & (norms <= sl.N)
         out[inside] = self._first[sl.rank_array(pts[inside])]
-        if stable_from is not None:
-            above = ok & (norms > sl.N)
+        if self._stable:
+            above = ok & ~inside
             out[above] = -(-norms[above] // self.D)
         return out
 
-    def distinct_members(self, points: np.ndarray, s: int,
-                         stable_from: Optional[int] = None) -> np.ndarray:
+    def distinct_members(self, points: np.ndarray, s: int) -> np.ndarray:
         """The distinct rows of an (n, d) array of points that lie in sA,
-        read by ``first_levels`` with the same ``stable_from``.
+        as ``first_levels`` reads them.
 
-        Rows are told apart by an int64 key: the rank for a row inside the
-        largest slice built, and a mixed-radix key of the coordinates for
-        a row above it.  The rows come back in key order.
+        Rows are told apart, and ordered, by a mixed-radix int64 key of
+        their coordinates (last coordinate most significant).
         """
         pts = np.asarray(points, dtype=np.int64)
-        pts = pts[self.first_levels(pts, stable_from) <= s]
-        sl = self._top
-        inside = pts.sum(axis=1) <= sl.N
-        low = sl.unrank(np.unique(sl.rank_array(pts[inside])))
-        high = pts[~inside]
-        radix = int(high.max(initial=0)) + 1
+        pts = pts[self.first_levels(pts) <= s]
+        radix = int(pts.max(initial=0)) + 1
         if radix ** self.d > np.iinfo(np.int64).max:
             raise ResourceLimitError(
                 f"level {s} rows of coordinates up to {radix - 1} have no "
                 f"int64 key in dimension {self.d}")
-        _, first = np.unique(high @ radix ** np.arange(self.d),
+        _, first = np.unique(pts @ radix ** np.arange(self.d),
                              return_index=True)
-        return np.concatenate([low, high[first]])
+        return pts[first]
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
         in A, sA = (s-1)A + A = (s-1)A | (F + A).  F + a is ranked one
         nonzero generator a at a time, so every array the build allocates
         holds about |F|*d <= |slice(s)|*d entries and the slice cap
-        bounds it."""
+        bounds it.
+
+        The set is then stable, its gaps final, if s >= L0 =
+        ceil(d(D-1)/D) and level s has the gaps of level s - 1, all of
+        norm <= (s-2)*D.  The proof needs only (s-1)*D, but (s-2)*D is
+        ``sigma``'s stop rule: ``sigma`` then reads no level above the
+        stable one but the slice its step check builds, and the slice cap
+        refuses the same requests.  By induction every later level has the
+        same gaps, as level s + 1:
+        - past L0 a shell point z of slice(s+1) has norm > s*D >= d(D-1),
+          so z = y + D*e_i with |y| > (s-1)*D: y is no gap, z in (s+1)A;
+        - were a gap g filled at level s + 1 as g = x + a, x in sA, then
+          x, in slice(s-1), would be no gap of level s, so of level s - 1,
+          and lie in (s-1)A.  That puts g in sA, a contradiction.
+        """
         s = 0 if self._top is None else self._top.s + 1
         sl = SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
         first = np.full(sl.size, _UNSEEN, dtype=np.int32)
@@ -301,6 +306,11 @@ class GeneratorSet:
             for a in self.points[1:]:  # sorted, so the origin comes first
                 ranks = sl.rank_array(frontier + a)
                 first[ranks[first[ranks] == _UNSEEN]] = s  # repeats write s
+        # ranks are ordered by norm; the origin, rank 0, is no gap
+        settled = slice_size(self.d, max(s - 2, 0) * self.D, self.e)
+        self._stable = bool(s * self.D >= self.d * (self.D - 1)
+                            and (first[settled:] != _UNSEEN).all()
+                            and not (first[:len(self._first)] == s).any())
         self._first = first
         self._top = sl
         return SumsetLevel(self, s)

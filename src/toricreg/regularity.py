@@ -5,9 +5,9 @@ complex T_y has nonvanishing reduced homology in degree i.  The
 enumeration stops at a certified cutoff: past level sigma+d+1 (smooth)
 or sigma+d+2 (one singular point) every complex is provably acyclic in
 all degrees up to d.  Below it only the rows whose T_y can carry
-homology get a face table (see ``_candidates``), and no level above
-sigma's ``stop`` (or the last level with box rows) is built: sigma's
-certificate gives every higher level as its slice minus the holes.
+homology get a face table (see ``_candidates``), and no level above the
+one where the gaps become final is built: the generator set reads every
+higher level as its slice minus those gaps.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def degree(A: GeneratorSet,
     return DegreeResult(theta, deg, codim)
 
 
-def _candidates(A: GeneratorSet, s: int, gaps, stable_from: Optional[int]
-                ) -> np.ndarray:
+def _candidates(A: GeneratorSet, s: int, gaps) -> np.ndarray:
     """The distinct rows of level s whose T_y can carry homology.
 
     Say every nonempty F with y - D*e_F >= 0 (homogenized) leaves y -
@@ -104,40 +103,33 @@ def _candidates(A: GeneratorSet, s: int, gaps, stable_from: Optional[int]
         pts = A.level(s).points
         rows.append(pts[(pts < D).all(axis=1)
                         & (pts.sum(axis=1) > s * D - D)])
-    return A.distinct_members(np.concatenate(rows), s, stable_from)
+    return A.distinct_members(np.concatenate(rows), s)
 
 
-def _sweep(A: GeneratorSet, max_level: int, field: FieldTag,
-           stop: Optional[int] = None):
+def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
     0..max_level.  Each level and face table offers its least point,
     and the least homogenized y wins among those of the largest value.
     Level 0 always offers the empty complex.
 
     Only the rows ``_candidates`` picks are tabled; every row of a face
-    family with homology is one, so the least point is unchanged.  With
-    ``stop`` (``sigma``'s, from which on the gaps are final), no level
-    above top = max(stop, floor((d+1)(D-1)/D)), the last with box rows,
-    is built: higher levels are read from the stable shape.
+    family with homology is one, so the least point is unchanged.  A set
+    that ``sigma`` left stable builds no more levels: it reads them all.
     """
     d, D = A.d, A.D
-    top = max_level if stop is None else min(
-        max_level, max(stop, (d + 1) * (D - 1) // D))
-    A.level(top)  # checks the cap of the top level before level 0
-    held = {}  # the gaps of the d + 1 levels below s, and of top
+    # unless A is stable, checks the cap of max_level before level 0
+    A.level(max_level)
+    held = {}  # the gaps of the d + 1 levels below s
 
     def gaps(t):
-        t = min(t, top)
         if t not in held:
             held[t] = A.level(t).gaps()
         return held[t]
 
     found = []  # (-value, y, i)
     for s in range(max_level + 1):
-        if s - d - 2 < top:  # no longer needed; top's gaps serve above it
-            held.pop(s - d - 2, None)
-        pts, tables = face_tables_for_level(
-            A, s, _candidates(A, s, gaps, stop), stop)
+        held.pop(s - d - 2, None)  # no longer needed
+        pts, tables = face_tables_for_level(A, s, _candidates(A, s, gaps))
         # uint64, so a table with the 6-vertex face (bit 63) stays >= 0
         tables = tables.view(np.uint64)
         for t in np.unique(tables):
@@ -190,8 +182,7 @@ def reg(A: GeneratorSet,
 
     smooth = report.verdict == SMOOTH
     max_level = sg + A.d + (1 if smooth else 2) + extra_levels
-    value, y, i = _sweep(A, max_level, field,
-                         sigma_result.window_verified[1])
+    value, y, i = _sweep(A, max_level, field)
 
     if smooth and value != sg:
         raise CertificationError(

@@ -1,5 +1,9 @@
 """Every exported name must resolve, so a deleted function cannot leave a
-dangling entry in ``toricreg.__all__``."""
+dangling entry in ``toricreg.__all__``, and every imported name must be
+used, so a deleted use cannot leave a dead import behind."""
+
+import ast
+from pathlib import Path
 
 import toricreg
 
@@ -15,3 +19,43 @@ def test_star_import():
     namespace = {}
     exec("from toricreg import *", namespace)
     assert set(toricreg.__all__) <= set(namespace)
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports, anywhere in it, and never reads.  Names
+    listed in ``__all__`` count as read; ``__future__`` imports do not
+    bind a name."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return bound - read
+
+
+def test_unused_import_checker():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import numpy as np\nimport importlib.util\n"
+                          "from typing import Optional\n"
+                          "x: Optional[int] = np.sum(importlib.util)") == set()
+    assert unused_imports("from typing import Optional, Union\n"
+                          "def f(x: Union[int, str]):\n"
+                          "    import os\n    return x") == {"Optional", "os"}
+    assert unused_imports("from .lattice import unit\n__all__ = ['unit']"
+                          ) == set()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(toricreg.__file__).parent
+    unused = {path.name: unused_imports(path.read_text())
+              for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricreg import (CertificationError, PreconditionError, betti_numbers,
-                      families, homogenize, homology, naive_member, reg)
+                      families, homogenize, homology, naive_member, reg,
+                      sigma)
 from toricreg.homology import (HOMOLOGY_CACHE_SIZE, face_tables_for_level,
                                min_nonzero_degree)
 from toricreg.lattice import _UNSEEN
@@ -266,6 +267,9 @@ class TestFaceComplexes:
                 [-1, 3], [1, 2], [6, 4]]  # negative, odd norm, norm 10
         assert A.first_levels(np.array(rows)).tolist() == [
             0, 1] + [_UNSEEN] * 4
+        sigma(A)  # the gaps are final: a row of any norm reads its level
+        assert A.first_levels(np.array(rows + [[9, 9]])).tolist() == [
+            0, 1, _UNSEEN, _UNSEEN, _UNSEEN, 3, 5]
 
     def test_oracle_recheck(self, even_sextic):
         faces = t_faces(even_sextic, (6, 9, 15))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, PreconditionError,
                       ResourceLimitError, hilbert_function, homogenize,
-                      naive_member, naive_sumset, step_equality_holds,
+                      naive_member, naive_sumset, sigma, step_equality_holds,
                       step_threshold)
 from toricreg.families import minimal_smooth, veronese
 from toricreg.lattice import _UNSEEN, SimplexSlice, slice_size, unit
@@ -226,21 +226,44 @@ class TestGeneratorSet:
         assert len(gaps) == lvl.size - lvl.cardinality
 
 
-    @given(arbitrary_sets(), st.integers(0, 3), st.data())
+    @given(arbitrary_sets(), st.integers(0, 4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_first_levels_match_naive_member(self, A, top, data):
         # rows of any norm, negative coordinates included: row y is in sA
-        # iff (s*D - |y|, y) is in the semigroup of the lifted generators
+        # iff (s*D - |y|, y) is in the semigroup of the lifted generators.
+        # A set whose gaps became final by level top answers every level,
+        # rows above its top slice included; the others answer up to top
         rows = data.draw(st.lists(
-            st.tuples(*[st.integers(-1, A.D + 1)] * A.d),
+            st.tuples(*[st.integers(-1, (top + 2) * A.D // A.d + 1)] * A.d),
             min_size=1, max_size=8))
         A.level(top)
         first = A.first_levels(np.array(rows))
         B = homogenize(A)
         for y, f in zip(rows, first):
-            for s in range(top + 1):
+            for s in range(top + 3 if A._stable else top + 1):
                 assert (f <= s) == naive_member(B, (s * A.D - sum(y),) + y), (
                     A, y, s)
+
+    def test_stable_set_builds_no_level_above_its_top(self, quartic,
+                                                      monkeypatch):
+        # sigma leaves the set stable: its gaps are the final hole set H
+        # and every higher level is its slice minus H, answered with no
+        # level built and no slice cap, except where points are listed
+        A = GeneratorSet(quartic.d, quartic.points, max_slice_size=150)
+        holes = sigma(A).holes
+        assert A._stable and A._top.s == 3
+        listed = members(A.level(5))  # unranked through a fresh slice(5)
+
+        def build(self):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(GeneratorSet, "_next_level", build)
+        far = A.level(1000)
+        assert far.cardinality == slice_size(2, 4000, 2) - len(holes)
+        assert set(map(tuple, far.gaps().tolist())) == holes == {(1, 1)}
+        assert listed == naive_sumset(A.points, 5)
+        with pytest.raises(ResourceLimitError, match="s=1000 "):
+            far.points
 
 
 class TestStepProperty:

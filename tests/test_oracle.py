@@ -29,7 +29,7 @@ def package_imports(source: str) -> set[str]:
 
 #: The slice-rank machinery of ``lattice``, which no other module may use.
 RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_first", "_top",
-              "_UNSEEN"}
+              "_UNSEEN", "_stable"}
 
 
 def rank_uses(source: str) -> set[str]:

@@ -50,10 +50,17 @@ def full_sweep(A, max_level, field):
     return -neg, y, i
 
 
-def box_top(A):
-    """The last level that can hold a row with every homogenized y_j
-    below D."""
-    return (A.d + 1) * (A.D - 1) // A.D
+def stable_level(A):
+    """The level where A's gaps become final by the rule of
+    ``GeneratorSet._next_level``, read from the level views of a fresh
+    copy: the first s >= ceil(d(D-1)/D) with the gaps of level s - 1,
+    every one of norm <= (s-2)*D."""
+    B = GeneratorSet(A.d, A.points)
+    for s in itertools.count(-(-A.d * (A.D - 1) // A.D)):
+        prev, gaps = (set(map(tuple, B.level(t).gaps().tolist()))
+                      for t in (s - 1, s))
+        if gaps == prev and all(sum(g) <= (s - 2) * A.D for g in gaps):
+            return s
 
 
 #: The (d, D, e) cells of the acceptance corpora (criteria 5 and 6).
@@ -261,12 +268,11 @@ class TestCandidateRows:
             return
         B = report.instance
         sr = sigma(B, report)
-        stop = sr.window_verified[1]
         cutoff = sr.sigma + B.d + 2 + extra
-        got = regularity._sweep(B, cutoff, field, stop)
+        got = regularity._sweep(B, cutoff, field)
         rr = reg(B, report, sr, field=field, extra_levels=extra)
-        # nothing above the settled top was built
-        assert B._top.s == max(stop, box_top(B))
+        # nothing above the level where the gaps become final was built
+        assert B._top.s == stable_level(B)
         plain = regularity._sweep(GeneratorSet(B.d, B.points), cutoff, field)
         assert got == plain == full_sweep(B, cutoff, field), (A, field)
         assert (rr.reg, rr.witness_y, rr.witness_i) == full_sweep(
@@ -282,8 +288,7 @@ class TestCandidateRows:
         # the lemma behind the candidate rows, on full levels
         d, D = A.d, A.D
         pts, tables = face_tables_for_level(A, level, A.level(level).points)
-        cand = regularity._candidates(
-            A, level, lambda t: A.level(t).gaps(), None)
+        cand = regularity._candidates(A, level, lambda t: A.level(t).gaps())
         chosen = set(map(tuple, cand.tolist()))
         assert len(chosen) == len(cand)
         assert chosen <= set(map(tuple, pts.tolist()))
@@ -300,14 +305,18 @@ class TestCandidateRows:
         families.quartic_singular_surface, families.sextic_surface,
         families.even_sextic_surface, lambda: minimal_smooth(3, 4),
         lambda: veronese(4, 2), lambda: veronese(5, 2),
-        lambda: minimal_smooth(2, 5)])
+        lambda: minimal_smooth(2, 5),
+        # hole 1: the proof's weaker norm bound (s-1)*D would make it
+        # stable at level 2, below sigma's stop 3
+        lambda: GeneratorSet(1, [(0,), (2,), (3,)])])
     def test_no_level_above_the_settled_top(self, make):
+        top = stable_level(make())
         for extra in (0, 2):
             A = make()
             report = classify(A)
             assert report.instance is A
             sr = sigma(A, report)
-            top = max(sr.window_verified[1], box_top(A))
+            assert A._top.s == top
             reg(A, report, sr, extra_levels=extra)
             assert A._top.s == top
         A = make()
