@@ -174,6 +174,8 @@ def run_corpus(directory: str, field, cutoff: Optional[int],
     in min(threads, cpu count, file count) forked worker processes, or in
     this process when that is at most 1; the CSV, and the first failing
     file in sorted order, are the same either way."""
+    if not Path(directory).is_dir():
+        raise NotADirectoryError(f"corpus {directory!r} is not a directory")
     paths = sorted(Path(directory).glob("*.json"))
     args = (paths, repeat(field), repeat(cutoff), repeat(max_slice))
     workers = min(threads or 1, os.cpu_count() or 1, len(paths))

@@ -234,6 +234,12 @@ class GeneratorSet:
             self._next_level()
         return SumsetLevel(self, s)
 
+    @property
+    def stable_level(self) -> int | None:
+        """The level where the gaps became final (see ``_next_level``),
+        or None while no level built proves them final."""
+        return self._top.s if self._stable else None
+
     def first_levels(self, points: np.ndarray) -> np.ndarray:
         """First level holding each row of an (n, d) array of points.
 
@@ -283,12 +289,10 @@ class GeneratorSet:
         bounds it.
 
         The set is then stable, its gaps final, if s >= L0 =
-        ceil(d(D-1)/D) and level s has the gaps of level s - 1, all of
-        norm <= (s-2)*D.  The proof needs only (s-1)*D, but (s-2)*D is
-        ``sigma``'s stop rule: ``sigma`` then reads no level above the
-        stable one but the slice its step check builds, and the slice cap
-        refuses the same requests.  By induction every later level has the
-        same gaps, as level s + 1:
+        ceil(d(D-1)/D) and level s has exactly the gaps of level s - 1:
+        none in its new shell, so all of norm <= (s-1)*D, and none of
+        level s - 1 filled.  By induction every later level has the same
+        gaps, as level s + 1:
         - past L0 a shell point z of slice(s+1) has norm > s*D >= d(D-1),
           so z = y + D*e_i with |y| > (s-1)*D: y is no gap, z in (s+1)A;
         - were a gap g filled at level s + 1 as g = x + a, x in sA, then
@@ -297,8 +301,9 @@ class GeneratorSet:
         """
         s = 0 if self._top is None else self._top.s + 1
         sl = SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
+        old = len(self._first)  # |slice(s-1)|, 0 at s = 0
         first = np.full(sl.size, _UNSEEN, dtype=np.int32)
-        first[:len(self._first)] = self._first
+        first[:old] = self._first
         if s == 0:
             first[0] = 0  # the origin
         else:
@@ -306,11 +311,9 @@ class GeneratorSet:
             for a in self.points[1:]:  # sorted, so the origin comes first
                 ranks = sl.rank_array(frontier + a)
                 first[ranks[first[ranks] == _UNSEEN]] = s  # repeats write s
-        # ranks are ordered by norm; the origin, rank 0, is no gap
-        settled = slice_size(self.d, max(s - 2, 0) * self.D, self.e)
         self._stable = bool(s * self.D >= self.d * (self.D - 1)
-                            and (first[settled:] != _UNSEEN).all()
-                            and not (first[:len(self._first)] == s).any())
+                            and (first[old:] != _UNSEEN).all()
+                            and not (first[:old] == s).any())
         self._first = first
         self._top = sl
         return SumsetLevel(self, s)

@@ -233,7 +233,9 @@ def eg_check(A: GeneratorSet,
              report: Optional[ClassificationReport] = None,
              reg_result: Optional[RegularityResult] = None,
              degree_result: Optional[DegreeResult] = None) -> dict:
-    """Eisenbud-Goto: reg <= degree - codim."""
+    """Eisenbud-Goto: reg <= degree - codim, certified where the paper
+    proves it: smooth instances (from the Herzog-Hibi bound) and
+    one-singular ones of dimension >= 3."""
     report = report or classify(A)
     if reg_result is None:
         reg_result = reg(A, report)
@@ -243,10 +245,11 @@ def eg_check(A: GeneratorSet,
     out = {"reg": reg_result.reg, "degree": degree_result.degree,
            "codim": degree_result.codim, "bound": bound,
            "holds": reg_result.reg <= bound}
-    if (not out["holds"] and report.verdict == ONE_SINGULAR and A.d >= 3):
+    if not out["holds"] and (report.verdict == SMOOTH or (
+            report.verdict == ONE_SINGULAR and A.d >= 3)):
         raise CertificationError(
-            f"Eisenbud-Goto bound fails on a one-singular instance of "
-            f"dimension >= 3: {out}")
+            f"Eisenbud-Goto bound fails on a {report.verdict} instance of "
+            f"dimension {A.d}: {out}")
     return out
 
 

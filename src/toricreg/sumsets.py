@@ -86,52 +86,36 @@ def sigma(A: GeneratorSet,
     """Exact sumsets regularity, with H read off the stable gaps.
 
     The gaps of level s are slice(s) \\ sA.  Levels are built until the
-    first ``stop`` at which level stop-1 (>= lower) has no gap of norm
-    above (stop-2)*D and level stop has as many gaps as level stop-1.
-    From then on the gaps are final.  Say level s-1 >= lower has all its
-    gaps at norm <= (s-2)*D:
-
-    - gaps only shrink: a z in slice(s) \\ slice(s-1) is y + D*e_i for
-      some y in slice(s-1) of norm > (s-2)*D (step property), so y is in
-      (s-1)A and z in sA.  Hence gaps(s) is a subset of gaps(s-1), and
-      equal counts mean equal sets;
-    - no later level fills a gap: were a gap y of level s filled as
-      y = x + a with x in sA, then x, of norm <= |y|, lies in slice(s-1)
-      but not in (s-1)A (else y would be in sA), so x is a gap of level
-      s-1 that level s fills, yet gaps(s) = gaps(s-1).
-
-    By induction the gaps at stop are H, and every level from stop-1 on
-    equals slice \\ H.  So sigma = max(lower, enclosing level of H, last
-    level s <= stop with |sA| != |slice(s) \\ H| plus one), and the levels
-    [sigma, stop] are the ones checked point for point.  The step
-    property is monotone in s, so checking that it holds at lower and
-    fails at lower-1 certifies lower from both sides and covers sigma
-    and every level the argument uses.
+    generator set proves its gaps final at ``stop = A.stable_level`` (see
+    ``GeneratorSet._next_level``): every level from stop-1 on equals
+    slice \\ H, and H is the gaps of level stop.  So sigma = max(lower,
+    enclosing level of H, last level s <= stop with |sA| != |slice(s) \\ H|
+    plus one), and the levels [sigma, stop] are the ones checked point
+    for point.  The step property is monotone in s, so checking that it
+    holds at lower and fails at lower-1 certifies lower from both sides
+    and covers sigma and every level the argument uses.
     """
     report = report or classify(A)
     A = report.instance
     bounds = sigma_bounds(A, report)
 
-    start = max(bounds.lower, 1)
-    # if sigma <= upper, the stop rule fires by this level
+    # if sigma <= upper, the gaps are final by this level
     last = max(bounds.upper, 1) + 2
-    prev = A.level(start).gaps()
-    for stop in range(start + 1, last + 1):
-        gaps = A.level(stop).gaps()
-        settled = prev.sum(axis=1).max(initial=0) <= (stop - 2) * A.D
-        if settled and len(gaps) == len(prev):
+    for s in range(max(bounds.lower, 1), last + 1):
+        A.level(s)
+        if A.stable_level is not None:
             break
-        prev = gaps
     else:
         raise CertificationError(
             f"sumset gaps not final by level {last}; this contradicts the "
             f"certified upper bound {bounds.upper}")
+    stop = A.stable_level
+    gaps = A.level(stop).gaps()
     if report.verdict == SMOOTH and len(gaps):
         raise CertificationError(
             f"smooth instance has {len(gaps)} gaps that never close")
 
-    # gaps come by norm first, and every one has norm <= (stop-2)*D by the
-    # stop rule
+    # gaps come by norm first, and every one has norm <= (stop-1)*D
     norms = gaps.sum(axis=1)
     enclosing = int(-(-norms.max(initial=0) // A.D))
     if enclosing > max(bounds.t0, 0):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from toricreg.families import veronese
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 
@@ -61,6 +63,25 @@ def test_traced_pass_counts_homology(tmp_path):
     assert metrics["regularity.sweep_levels"] > 0
     assert metrics["homology.betti_calls"] == metrics[
         "homology.betti_distinct"] > 0
+
+
+def test_max_level_follows_sigmas_window(tmp_path):
+    # sigma builds no level above the one where the gaps become final,
+    # the end of its window: 2 for veronese(2, 3)
+    spec, out, spans, instance = (tmp_path / n for n in (
+        "spec", "out", "spans", "veronese.json"))
+    instance.write_text(json.dumps(
+        {"d": 2, "A": [list(p) for p in veronese(2, 3).points]}))
+    spec.write_text(json.dumps({"commands": [["analyze", str(instance)]]}))
+    subprocess.run([sys.executable, str(ROOT / "bench" / "worker.py"),
+                    str(spec), str(out), "--trace", str(spans)],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                   check=True, timeout=120)
+    [result] = json.loads(out.read_text())["results"]
+    assert result["rc"] == 0, result["stderr"]
+    window = json.loads(result["stdout"])["sigma"]["window_verified"]
+    metrics = _load_tracer().layer_metrics(json.loads(spans.read_text()))
+    assert metrics["sumsets.max_level"] == window[1] == 2
 
 
 def test_worker_runs_corpus_in_a_pool(tmp_path):

@@ -368,6 +368,17 @@ class TestCorpus:
             assert out == ("file,d,D,e,verdict,sigma,reg,degree,codim,"
                            "eg_slack,reg_sigma_gap\n")
 
+    def test_missing_directory_or_file_is_an_error(self, capsys, tmp_path,
+                                                   two_cpus):
+        (tmp_path / "a.json").write_text("{}")
+        for target in (tmp_path / "missing", tmp_path / "a.json"):
+            for threads in ("1", "2"):
+                code, out, err = run(capsys, "corpus", str(target),
+                                     "--threads", threads)
+                assert (code, out) == (1, "")
+                assert err == (f"error: corpus {str(target)!r} is not a "
+                               f"directory\n")
+
     @pytest.mark.parametrize("invalid,d6", [("a.json", "b.json"),
                                             ("b.json", "a.json")])
     def test_first_failing_file_in_sorted_order(self, capsys, tmp_path,

@@ -133,6 +133,24 @@ class TestGeneratorSet:
         seen = A._first[A._first != _UNSEEN]
         assert np.bincount(seen).tolist() == [1, 6, 17]  # per-level counts
 
+    @pytest.mark.parametrize("points,stable", [
+        ([(0, 0), (0, 2), (0, 4), (1, 3), (2, 0), (3, 1), (4, 0)], 3),
+        ([(0,), (2,), (3,)], 2),
+        ([(0,), (1,), (5,), (6,), (7,), (8,), (9,)], 5)])
+    def test_stable_level_is_set_by_the_level_that_proves_it(self, points,
+                                                             stable):
+        # None until a level has the gaps of the level below, then that
+        # level, the top one; a later request builds nothing
+        A = GeneratorSet(len(points[0]), points)
+        assert A.stable_level is None
+        for s in range(stable):
+            A.level(s)
+            assert A.stable_level is None, s
+        A.level(stable)
+        assert A.stable_level == A._top.s == stable
+        A.level(stable + 40)
+        assert A.stable_level == A._top.s == stable
+
     def test_levels_keep_one_rank_table(self):
         # slice(s) is a prefix of slice(s+1) with the same ranks, so the
         # top slice's tables serve every level; one table per level would

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -53,13 +54,12 @@ def full_sweep(A, max_level, field):
 def stable_level(A):
     """The level where A's gaps become final by the rule of
     ``GeneratorSet._next_level``, read from the level views of a fresh
-    copy: the first s >= ceil(d(D-1)/D) with the gaps of level s - 1,
-    every one of norm <= (s-2)*D."""
+    copy: the first s >= ceil(d(D-1)/D) with the gaps of level s - 1."""
     B = GeneratorSet(A.d, A.points)
     for s in itertools.count(-(-A.d * (A.D - 1) // A.D)):
         prev, gaps = (set(map(tuple, B.level(t).gaps().tolist()))
                       for t in (s - 1, s))
-        if gaps == prev and all(sum(g) <= (s - 2) * A.D for g in gaps):
+        if gaps == prev:
             return s
 
 
@@ -306,8 +306,8 @@ class TestCandidateRows:
         families.even_sextic_surface, lambda: minimal_smooth(3, 4),
         lambda: veronese(4, 2), lambda: veronese(5, 2),
         lambda: minimal_smooth(2, 5),
-        # hole 1: the proof's weaker norm bound (s-1)*D would make it
-        # stable at level 2, below sigma's stop 3
+        # hole 1: level 2 has level 1's gap {1} and none in its shell,
+        # so the set is stable at 2 = sigma + 1
         lambda: GeneratorSet(1, [(0,), (2,), (3,)])])
     def test_no_level_above_the_settled_top(self, make):
         top = stable_level(make())
@@ -354,6 +354,14 @@ class TestBounds:
         for _ in range(3):
             A = one_singular_random(2, 4, 2, rng)
             assert eg_check(A)["reg"] <= eg_check(A)["bound"]
+
+    def test_eg_failure_is_refused_on_a_smooth_instance(self):
+        # Herzog-Hibi gives Eisenbud-Goto in the smooth case
+        A = veronese(2, 3)
+        rr = reg(A)
+        assert eg_check(A, reg_result=rr)["bound"] == rr.reg == 2
+        with pytest.raises(CertificationError, match="Smooth instance"):
+            eg_check(A, reg_result=dataclasses.replace(rr, reg=3))
 
     def test_wrong_family_rejected(self, quartic):
         with pytest.raises(UnsupportedInstanceError):
