@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CertificationError, PreconditionError
-from .lattice import GeneratorSet
+from .lattice import _BATCH_ROWS, GeneratorSet
 from .linalg import bareiss_rank, rank_mod_p
 
 FieldTag = Union[str, int]  # "q" or a prime
@@ -89,32 +89,47 @@ def check_face_table_dimension(d: int) -> None:
             f"face tables support at most 6 vertices (d = {d})")
 
 
+def axis_vectors(d: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V, k): row m of the (2**d, d) int64 array V is D*e_F for the
+    axis subset F with mask m, and k[m] = |F|."""
+    bits = np.arange(1 << d)[:, None] >> np.arange(d) & 1
+    return D * bits, bits.sum(axis=1)
+
+
 def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized T_y face families for given y in S_A of norm s*D.
 
     ``points`` are dehomogenized members of the level-s sumset, and
-    ``GeneratorSet.first_levels`` reads their faces.  Returns (points,
-    tables): tables[r] is an integer whose bit m says whether the vertex
-    subset with mask m is a face of T_y (bit 0 = homogenizing coordinate).
-    See ``check_face_table_dimension``.
+    ``GeneratorSet.first_levels`` reads their faces: y - D*e_F for all
+    2**d axis subsets F of a block of rows in one call.  A block holds
+    max(n, _BATCH_ROWS) // 2**d of the n rows, so a lookup holds at
+    most max(n, _BATCH_ROWS) rows (see the ``lattice`` docstring).
+    Returns (points, tables): tables[r] is a uint64, so nonnegative with
+    the 6-vertex face (bit 63) too, whose bit m says whether the vertex
+    subset with mask m is a face of T_y (bit 0 = homogenizing
+    coordinate).  See ``check_face_table_dimension``.
     """
-    d, D = A.d, A.D
+    d = A.d
     check_face_table_dimension(d)
     pts = np.asarray(points, dtype=np.int64)
-    tables = np.zeros(pts.shape[0], dtype=np.int64)
-    for axes in range(1 << d):
-        k = bin(axes).count("1")
-        # taking D*e_j off y for the k axes in F leaves norm (s - k)*D;
-        # taking off the homogenizing vertex too leaves (s - k - 1)*D with
-        # the same dehomogenized part, so one lookup decides both faces
-        v = np.array([D if axes >> j & 1 else 0 for j in range(d)],
-                     dtype=np.int64)
-        first = A.first_levels(pts - v)
-        for bit, level in ((axes << 1, s - k), (axes << 1 | 1, s - k - 1)):
-            # in place: no int64 temporary per bit
-            np.bitwise_or(tables, np.int64(1) << bit, out=tables,
-                          where=first <= level)
+    V, k = axis_vectors(d, A.D)
+    # taking D*e_j off y for the k axes in F leaves norm (s - k)*D; taking
+    # off the homogenizing vertex too leaves (s - k - 1)*D with the same
+    # dehomogenized part, so one lookup decides both faces: bits 2m and
+    # 2m + 1 for the axis subset with mask m.  The bits are distinct, so
+    # summing them is or-ing them
+    bit = np.uint64(1) << np.arange(0, 2 << d, 2, dtype=np.uint64)[:, None]
+    tables = np.empty(pts.shape[0], dtype=np.uint64)
+    step = max(1, max(len(pts), _BATCH_ROWS) >> d)
+    for j in range(0, len(pts), step):
+        block = pts[j:j + step]
+        first = A.first_levels((block[None] - V[:, None]).reshape(-1, d)
+                               ).reshape(1 << d, -1)
+        tables[j:j + step] = (
+            np.where(first <= (s - k)[:, None], bit, 0).sum(0, np.uint64)
+            + np.where(first <= (s - k - 1)[:, None], 2 * bit, 0).sum(
+                0, np.uint64))
     # the empty face is bit 0: every member of sA has it
     if not (tables & 1).all():
         raise PreconditionError(f"a row is not in the level-{s} sumset")

@@ -9,7 +9,16 @@ engine: its one record holds, for each rank, the first level s with the
 point in sA, and one slice, its top built level's, ranks every level; once
 the gaps are final, no level above it is built.  ``first_levels`` reads
 that record and is the engine's one membership query; ``SumsetLevel``
-objects are views of it that take their slice sizes from the closed form.
+objects are views of it that read their slice sizes from the top slice's
+tables, and from the closed form above it.
+
+The level build and ``homology.face_tables_for_level`` each rank many
+shifted copies of one point array.  They stack the copies into one
+array per batch, so numpy is called once per level rather than once per
+copy, and ``_BATCH_ROWS`` bounds a batch: it holds at most max(m,
+_BATCH_ROWS) rows, m being one copy's rows.  A batch thus needs no more
+memory than a single copy, or ~_BATCH_ROWS * d int64 entries when the
+copies are small.
 
 Ranks are private to this module: levels hand out their members and gaps
 as (n, d) arrays of points in rank order, so other modules read norms and
@@ -33,6 +42,10 @@ DEFAULT_MAX_SLICE_SIZE = 2**27
 
 #: First-appearance level of a rank that no level built so far contains.
 _UNSEEN = np.iinfo(np.int32).max
+
+#: A batch of shifted copies of an m-row array holds at most
+#: max(m, _BATCH_ROWS) rows (see the module docstring).
+_BATCH_ROWS = 1 << 14
 
 
 def unit(d: int, i: int, scale: int = 1) -> Point:
@@ -132,7 +145,8 @@ class SimplexSlice:
         for c in range(self.d - 2, -1, -1):
             prefix[:, c] = np.searchsorted(self._below[c], rest, "right") - 1
             rest -= self._below[c][prefix[:, c]]
-        return np.diff(prefix, axis=1, prepend=0)
+        prefix[:, 1:] -= prefix[:, :-1].copy()  # prefix sums to points
+        return prefix
 
 
 class SumsetLevel:
@@ -145,7 +159,11 @@ class SumsetLevel:
 
     @property
     def size(self) -> int:
-        """|slice(s)|, from the closed form."""
+        """|slice(s)|: read from the top slice's tables when that slice
+        holds slice(s), else from the closed form."""
+        top = self._A._top
+        if self.s <= top.s:
+            return int(top._last[self.s * self._A.D]) + 1
         return slice_size(self._A.d, self.s * self._A.D, self._A.e)
 
     @property
@@ -227,9 +245,10 @@ class GeneratorSet:
     def level(self, s: int) -> SumsetLevel:
         if s < 0:
             raise PreconditionError("level must be >= 0")
-        if not self._stable:
-            # slices grow with s, so this covers every level built below
-            capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
+        if self._stable or (self._top is not None and s <= self._top.s):
+            return SumsetLevel(self, s)  # built, or read from final gaps
+        # slices grow with s, so this covers every level built below
+        capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
         while not self._stable and (self._top is None or self._top.s < s):
             self._next_level()
         return SumsetLevel(self, s)
@@ -283,10 +302,12 @@ class GeneratorSet:
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
-        in A, sA = (s-1)A + A = (s-1)A | (F + A).  F + a is ranked one
-        nonzero generator a at a time, so every array the build allocates
-        holds about |F|*d <= |slice(s)|*d entries and the slice cap
-        bounds it.
+        in A, sA = (s-1)A + A = (s-1)A | (F + A).  The shifts F + a of
+        the nonzero generators a are stacked into batches of
+        max(|F|, _BATCH_ROWS) // |F| generators, and each batch is ranked
+        and scattered at once.  So every array the build allocates holds
+        about max(|F|, _BATCH_ROWS)*d entries: |F|*d <= |slice(s)|*d,
+        which the slice cap bounds, or _BATCH_ROWS*d on a small level.
 
         The set is then stable, its gaps final, if s >= L0 =
         ceil(d(D-1)/D) and level s has exactly the gaps of level s - 1:
@@ -308,8 +329,11 @@ class GeneratorSet:
             first[0] = 0  # the origin
         else:
             frontier = self._top.unrank(np.flatnonzero(self._first == s - 1))
-            for a in self.points[1:]:  # sorted, so the origin comes first
-                ranks = sl.rank_array(frontier + a)
+            gens = np.array(self.points[1:], dtype=np.int64)  # origin first
+            step = max(1, max(len(frontier), _BATCH_ROWS) // len(frontier))
+            for j in range(0, len(gens), step):
+                shifts = frontier[None] + gens[j:j + step, None]
+                ranks = sl.rank_array(shifts.reshape(-1, self.d))
                 first[ranks[first[ranks] == _UNSEEN]] = s  # repeats write s
         self._stable = bool(s * self.D >= self.d * (self.D - 1)
                             and (first[old:] != _UNSEEN).all()

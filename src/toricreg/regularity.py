@@ -23,7 +23,7 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
                        classify)
 from .errors import (CertificationError, PreconditionError,
                      UnsupportedInstanceError)
-from .homology import (FieldTag, check_face_table_dimension,
+from .homology import (FieldTag, axis_vectors, check_face_table_dimension,
                        face_tables_for_level, min_nonzero_degree)
 from .lattice import GeneratorSet, Point, homogenize
 from .linalg import gcd_of_maximal_minors
@@ -90,15 +90,13 @@ def _candidates(A: GeneratorSet, s: int, gaps) -> np.ndarray:
     gaps of level t >= 1.
     """
     d, D = A.d, A.D
+    V, k = axis_vectors(d, D)
     rows = []
-    for axes in range(1 << d):
-        k = bin(axes).count("1")
-        v = np.array([D if axes >> j & 1 else 0 for j in range(d)],
-                     dtype=np.int64)
-        # F is the axes, or the axes and the homogenizing vertex
-        for t in (s - k, s - k - 1) if axes else (s - 1,):
-            if t >= 1:
-                rows.append(gaps(t) + v)
+    # F is k axes, or k axes and the homogenizing vertex: g + D*e_F for
+    # the gaps g of level t = s - |F|
+    for t in range(max(1, s - d - 1), s):
+        shifts = V[(k == s - t) | (k == s - t - 1)]
+        rows.append((gaps(t)[None] + shifts[:, None]).reshape(-1, d))
     if s * D <= (d + 1) * (D - 1):
         pts = A.level(s).points
         rows.append(pts[(pts < D).all(axis=1)
@@ -130,8 +128,6 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     for s in range(max_level + 1):
         held.pop(s - d - 2, None)  # no longer needed
         pts, tables = face_tables_for_level(A, s, _candidates(A, s, gaps))
-        # uint64, so a table with the 6-vertex face (bit 63) stays >= 0
-        tables = tables.view(np.uint64)
         for t in np.unique(tables):
             i = min_nonzero_degree(int(t), d + 1, field)
             if i is not None:

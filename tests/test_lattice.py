@@ -166,9 +166,9 @@ class TestGeneratorSet:
         assert A._top.s == 150
 
     def test_level_build_is_bounded_by_its_slice(self):
-        # the frontier gets one nonzero generator added at a time, so no
-        # |F| x |A| candidate block exists; that block peaked at 54 times
-        # slice * d * 8 bytes here
+        # the frontier's shifts are ranked in batches of max(|F|,
+        # _BATCH_ROWS) rows, so no |F| x |A| candidate block exists; that
+        # block peaked at 54 times slice * d * 8 bytes here
         A = veronese(3, 6)
         A.level(7)
         tracemalloc.start()
