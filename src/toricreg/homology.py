@@ -2,21 +2,23 @@
 
 For y in the semigroup S_A (homogenized coordinates), T_y has vertex j
 when y - D*e_j stays in S_A, and more generally face F when the whole
-sum over F can be subtracted.  Reduced homology of these complexes
-drives the regularity formula; the empty face is kept as the single
-(-1)-cell, so the void-looking complex {emptyset} has betti_{-1} = 1.
+sum over F can be subtracted.  ``face_tables_for_level`` reads these
+faces off the gaps of the sumset levels alone, with no membership
+query.  Reduced homology of these complexes drives the regularity
+formula; the empty face is kept as the single (-1)-cell, so the
+void-looking complex {emptyset} has betti_{-1} = 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import CertificationError, PreconditionError
-from .lattice import _BATCH_ROWS, GeneratorSet
+from .errors import CertificationError, PreconditionError, ResourceLimitError
+from .lattice import GeneratorSet
 from .linalg import bareiss_rank, rank_mod_p
 
 FieldTag = Union[str, int]  # "q" or a prime
@@ -89,51 +91,53 @@ def check_face_table_dimension(d: int) -> None:
             f"face tables support at most 6 vertices (d = {d})")
 
 
-def axis_vectors(d: int, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """(V, k): row m of the (2**d, d) int64 array V is D*e_F for the
-    axis subset F with mask m, and k[m] = |F|."""
-    bits = np.arange(1 << d)[:, None] >> np.arange(d) & 1
-    return D * bits, bits.sum(axis=1)
-
-
-def face_tables_for_level(A: GeneratorSet, s: int, points: np.ndarray
+def face_tables_for_level(A: GeneratorSet, s: int, rows: np.ndarray,
+                          gaps: Callable[[int], np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized T_y face families for given y in S_A of norm s*D.
+    """T_y face families of the rows of slice(s) and of the gap shifts.
 
-    ``points`` are dehomogenized members of the level-s sumset, and
-    ``GeneratorSet.first_levels`` reads their faces: y - D*e_F for all
-    2**d axis subsets F of a block of rows in one call.  A block holds
-    max(n, _BATCH_ROWS) // 2**d of the n rows, so a lookup holds at
-    most max(n, _BATCH_ROWS) rows (see the ``lattice`` docstring).
-    Returns (points, tables): tables[r] is a uint64, so nonnegative with
-    the 6-vertex face (bit 63) too, whose bit m says whether the vertex
-    subset with mask m is a face of T_y (bit 0 = homogenizing
-    coordinate).  See ``check_face_table_dimension``.
+    Take y in slice(s), homogenized with y0 = s*D - |y|.  Its vertex
+    subset F leaves y - D*e_F in slice(s - |F|) iff y_j >= D on F, and
+    then in S_A iff that point is no gap of level s - |F|.  So T_y is
+    the full simplex on {j : y_j >= D} minus the faces F that land on a
+    gap g, at y = g + D*e_F: no membership query is needed.  ``gaps(t)``
+    gives level t's gaps.
+
+    Returns (points, tables): the distinct rows and gap shifts, in
+    lexicographic order, and a uint64 per point whose bit m says whether
+    the vertex subset with mask m is a face (bit 0 = homogenizing
+    coordinate), so nonnegative with the 6-vertex face (bit 63) too.  A
+    point outside sA reads 0: a face would put it in sA.
     """
-    d = A.d
+    d, D = A.d, A.D
     check_face_table_dimension(d)
-    pts = np.asarray(points, dtype=np.int64)
-    V, k = axis_vectors(d, A.D)
-    # taking D*e_j off y for the k axes in F leaves norm (s - k)*D; taking
-    # off the homogenizing vertex too leaves (s - k - 1)*D with the same
-    # dehomogenized part, so one lookup decides both faces: bits 2m and
-    # 2m + 1 for the axis subset with mask m.  The bits are distinct, so
-    # summing them is or-ing them
-    bit = np.uint64(1) << np.arange(0, 2 << d, 2, dtype=np.uint64)[:, None]
-    tables = np.empty(pts.shape[0], dtype=np.uint64)
-    step = max(1, max(len(pts), _BATCH_ROWS) >> d)
-    for j in range(0, len(pts), step):
-        block = pts[j:j + step]
-        first = A.first_levels((block[None] - V[:, None]).reshape(-1, d)
-                               ).reshape(1 << d, -1)
-        tables[j:j + step] = (
-            np.where(first <= (s - k)[:, None], bit, 0).sum(0, np.uint64)
-            + np.where(first <= (s - k - 1)[:, None], 2 * bit, 0).sum(
-                0, np.uint64))
-    # the empty face is bit 0: every member of sA has it
-    if not (tables & 1).all():
-        raise PreconditionError(f"a row is not in the level-{s} sumset")
-    return pts, tables
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, d)
+    norms = rows.sum(axis=1)
+    if (rows < 0).any() or (norms > s * D).any() or (norms % A.e).any():
+        raise PreconditionError(f"a row is not in the level-{s} slice")
+    radix = s * D + 1
+    if radix ** d > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"level {s} rows have no int64 key in "
+                                 f"dimension {d}")
+    f = np.arange(2 << d)  # vertex subsets
+    bits = f[:, None] >> np.arange(d + 1) & 1
+    face = np.uint64(1) << f.astype(np.uint64)
+    pts, cleared = [rows], [np.zeros(len(rows), dtype=np.uint64)]
+    for t in range(max(0, s - d - 1), s + 1):
+        g, m = gaps(t), np.flatnonzero(bits.sum(axis=1) == s - t)
+        pts.append((g[None] + D * bits[m, None, 1:]).reshape(-1, d))
+        cleared.append(np.repeat(face[m], len(g)))
+    pts, cleared = np.concatenate(pts), np.concatenate(cleared)
+    keys = pts @ radix ** np.arange(d - 1, -1, -1)  # lexicographic
+    order = np.argsort(keys)
+    start = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    pts = pts[order[start]]
+    cleared = np.bitwise_or.reduceat(cleared[order], start)
+    # full[v]: every subset of the vertex set v that y allows, bit 0 for
+    # y0 >= D and bit j + 1 for y_j >= D
+    full = np.where(f[:, None] & f == f, face, 0).sum(axis=1, dtype=np.uint64)
+    allowed = (pts.sum(axis=1) <= s * D - D) | (pts >= D) @ (2 << np.arange(d))
+    return pts, full[allowed] & ~cleared
 
 
 def min_nonzero_degree(table: int, n_vertices: int,

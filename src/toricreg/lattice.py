@@ -7,18 +7,16 @@ norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
 rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
 engine: its one record holds, for each rank, the first level s with the
 point in sA, and one slice, its top built level's, ranks every level; once
-the gaps are final, no level above it is built.  ``first_levels`` reads
-that record and is the engine's one membership query; ``SumsetLevel``
-objects are views of it that read their slice sizes from the top slice's
+the gaps are final, no level above it is built.  ``SumsetLevel`` objects
+are views of that record that read their slice sizes from the top slice's
 tables, and from the closed form above it.
 
-The level build and ``homology.face_tables_for_level`` each rank many
-shifted copies of one point array.  They stack the copies into one
-array per batch, so numpy is called once per level rather than once per
-copy, and ``_BATCH_ROWS`` bounds a batch: it holds at most max(m,
-_BATCH_ROWS) rows, m being one copy's rows.  A batch thus needs no more
-memory than a single copy, or ~_BATCH_ROWS * d int64 entries when the
-copies are small.
+The level build ranks the shifts of the new points by every generator.
+It stacks the copies into one array per batch, so numpy is called once
+per level rather than once per generator, and ``_BATCH_ROWS`` bounds a
+batch: it holds at most max(m, _BATCH_ROWS) rows, m being one copy's
+rows.  A batch thus needs no more memory than a single copy, or
+~_BATCH_ROWS * d int64 entries when the copies are small.
 
 Ranks are private to this module: levels hand out their members and gaps
 as (n, d) arrays of points in rank order, so other modules read norms and
@@ -113,8 +111,8 @@ class SimplexSlice:
     def rank_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized rank of an (n, d) array of slice points.
 
-        The rows must lie in the slice; ``GeneratorSet.first_levels`` is
-        the one place that decides which rows do.
+        The rows must lie in the slice: the level build ranks only shifts
+        of a level's points by generators, which do.
 
         Inside the layer of norm n, the points colex-after z are counted
         by prefix sums: sum over c of #{w in N^c : |w| < z_0 + ... + z_(c-1)}.
@@ -258,47 +256,6 @@ class GeneratorSet:
         """The level where the gaps became final (see ``_next_level``),
         or None while no level built proves them final."""
         return self._top.s if self._stable else None
-
-    def first_levels(self, points: np.ndarray) -> np.ndarray:
-        """First level holding each row of an (n, d) array of points.
-
-        The engine's one membership query: once level s is built, y is in
-        sA iff its first level is <= s.  Rows with a negative coordinate
-        or a norm not divisible by e get ``_UNSEEN``, as do points no level
-        built holds and, unless the set is stable, rows above the largest
-        slice built; a stable set gives those the level of |y|, ceil(|y|/D).
-        """
-        pts = np.asarray(points, dtype=np.int64)
-        out = np.full(pts.shape[0], _UNSEEN, dtype=np.int32)
-        sl = self._top
-        if sl is None:
-            return out
-        norms = pts.sum(axis=1)
-        ok = (pts >= 0).all(axis=1) & (norms % self.e == 0)
-        inside = ok & (norms <= sl.N)
-        out[inside] = self._first[sl.rank_array(pts[inside])]
-        if self._stable:
-            above = ok & ~inside
-            out[above] = -(-norms[above] // self.D)
-        return out
-
-    def distinct_members(self, points: np.ndarray, s: int) -> np.ndarray:
-        """The distinct rows of an (n, d) array of points that lie in sA,
-        as ``first_levels`` reads them.
-
-        Rows are told apart, and ordered, by a mixed-radix int64 key of
-        their coordinates (last coordinate most significant).
-        """
-        pts = np.asarray(points, dtype=np.int64)
-        pts = pts[self.first_levels(pts) <= s]
-        radix = int(pts.max(initial=0)) + 1
-        if radix ** self.d > np.iinfo(np.int64).max:
-            raise ResourceLimitError(
-                f"level {s} rows of coordinates up to {radix - 1} have no "
-                f"int64 key in dimension {self.d}")
-        _, first = np.unique(pts @ radix ** np.arange(self.d),
-                             return_index=True)
-        return pts[first]
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is

@@ -5,9 +5,9 @@ complex T_y has nonvanishing reduced homology in degree i.  The
 enumeration stops at a certified cutoff: past level sigma+d+1 (smooth)
 or sigma+d+2 (one singular point) every complex is provably acyclic in
 all degrees up to d.  Below it only the rows whose T_y can carry
-homology get a face table (see ``_candidates``), and no level above the
-one where the gaps become final is built: the generator set reads every
-higher level as its slice minus those gaps.
+homology get a face table, read off the gaps (see ``_sweep``), and no
+level above the one where the gaps become final is built: the generator
+set reads every higher level as its slice minus those gaps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
                        classify)
 from .errors import (CertificationError, PreconditionError,
                      UnsupportedInstanceError)
-from .homology import (FieldTag, axis_vectors, check_face_table_dimension,
+from .homology import (FieldTag, check_face_table_dimension,
                        face_tables_for_level, min_nonzero_degree)
 from .lattice import GeneratorSet, Point, homogenize
 from .linalg import gcd_of_maximal_minors
@@ -78,46 +78,23 @@ def degree(A: GeneratorSet,
     return DegreeResult(theta, deg, codim)
 
 
-def _candidates(A: GeneratorSet, s: int, gaps) -> np.ndarray:
-    """The distinct rows of level s whose T_y can carry homology.
-
-    Say every nonempty F with y - D*e_F >= 0 (homogenized) leaves y -
-    D*e_F in S_A.  Then T_y is the full simplex on J = {j : y_j >= D},
-    which is acyclic unless J is empty, and then it is {emptyset}.  So a
-    row needs its table only when it is a gap shift g + D*e_F, g a gap of
-    level s - |F| (e_0 adds nothing to the dehomogenized part), or a box
-    row, with every homogenized y_j <= D - 1.  ``gaps(t)`` gives the
-    gaps of level t >= 1.
-    """
-    d, D = A.d, A.D
-    V, k = axis_vectors(d, D)
-    rows = []
-    # F is k axes, or k axes and the homogenizing vertex: g + D*e_F for
-    # the gaps g of level t = s - |F|
-    for t in range(max(1, s - d - 1), s):
-        shifts = V[(k == s - t) | (k == s - t - 1)]
-        rows.append((gaps(t)[None] + shifts[:, None]).reshape(-1, d))
-    if s * D <= (d + 1) * (D - 1):
-        pts = A.level(s).points
-        rows.append(pts[(pts < D).all(axis=1)
-                        & (pts.sum(axis=1) > s * D - D)])
-    return A.distinct_members(np.concatenate(rows), s)
-
-
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
     0..max_level.  Each level and face table offers its least point,
     and the least homogenized y wins among those of the largest value.
     Level 0 always offers the empty complex.
 
-    Only the rows ``_candidates`` picks are tabled; every row of a face
-    family with homology is one, so the least point is unchanged.  A set
-    that ``sigma`` left stable builds no more levels: it reads them all.
+    Only the gap shifts and, in the low levels, the box rows, with every
+    homogenized y_j <= D - 1, get a table: any other row of sA has the
+    full simplex on its nonempty {j : y_j >= D} as T_y (see
+    ``face_tables_for_level``), so no least point with homology is lost.
+    A set that ``sigma`` left stable builds no more levels: it reads
+    them all.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
-    held = {}  # the gaps of the d + 1 levels below s
+    held = {}  # the gaps of the d + 2 levels up to s
 
     def gaps(t):
         if t not in held:
@@ -127,11 +104,18 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     found = []  # (-value, y, i)
     for s in range(max_level + 1):
         held.pop(s - d - 2, None)  # no longer needed
-        pts, tables = face_tables_for_level(A, s, _candidates(A, s, gaps))
-        for t in np.unique(tables):
-            i = min_nonzero_degree(int(t), d + 1, field)
+        rows = np.zeros((0, d), dtype=np.int64)
+        if s * D <= (d + 1) * (D - 1):
+            pts = A.level(s).points
+            rows = pts[(pts < D).all(axis=1) & (pts.sum(axis=1) > s * D - D)]
+        pts, tables = face_tables_for_level(A, s, rows, gaps)
+        # the points are in lexicographic order, so each table's first
+        # is its least; a point outside sA has table 0 and no faces
+        tables, first = np.unique(tables, return_index=True)
+        for t, r in zip(tables.tolist(), first.tolist()):
+            i = min_nonzero_degree(t, d + 1, field) if t else None
             if i is not None:
-                p = min(map(tuple, pts[tables == t].tolist()))
+                p = tuple(pts[r].tolist())
                 found.append((i + 1 - s, (s * D - sum(p),) + p, i))
     neg, y, i = min(found)
     return -neg, y, i
@@ -141,17 +125,12 @@ def reg(A: GeneratorSet,
         report: Optional[ClassificationReport] = None,
         sigma_result: Optional[SigmaResult] = None,
         field: FieldTag = "q",
-        cutoff: Optional[int] = None,
-        extra_levels: int = 0) -> RegularityResult:
+        cutoff: Optional[int] = None) -> RegularityResult:
     """Exact regularity by homology enumeration with certified cutoffs.
 
     For verdict Other no vanishing cutoff is available; a user-supplied
     ``cutoff`` level yields an honest lower bound instead.
-    ``extra_levels`` >= 0 sweeps that many levels past a certified cutoff.
     """
-    if extra_levels < 0:
-        raise PreconditionError(
-            f"extra_levels must be >= 0 (got {extra_levels})")
     report = report or classify(A)
     A = report.instance
     if report.verdict == OTHER:
@@ -166,7 +145,7 @@ def reg(A: GeneratorSet,
         return RegularityResult(value, y, i, cutoff * A.D, "lower-bound")
 
     if report.verdict == ONE_SINGULAR and report.e == A.D:
-        sub = reg(report.reduced, field=field, extra_levels=extra_levels)
+        sub = reg(report.reduced, field=field)
         return RegularityResult(sub.reg, sub.witness_y, sub.witness_i,
                                 sub.cutoff_norm, "e=D-reduction",
                                 sigma=sub.sigma)
@@ -177,7 +156,7 @@ def reg(A: GeneratorSet,
     sg = sigma_result.sigma
 
     smooth = report.verdict == SMOOTH
-    max_level = sg + A.d + (1 if smooth else 2) + extra_levels
+    max_level = sg + A.d + (1 if smooth else 2)
     value, y, i = _sweep(A, max_level, field)
 
     if smooth and value != sg:

@@ -18,6 +18,12 @@ def members(level):
     return set(map(tuple, level.points.tolist()))
 
 
+def level_gaps(A):
+    """The ``gaps`` argument of ``face_tables_for_level``: level t's
+    gaps, read from A's level views."""
+    return lambda t: A.level(t).gaps()
+
+
 def family_instance(family, d, D, e, seed):
     """An instance of ``family``; ``assume`` rejects the (d, D, e) that
     the family does not cover (e matters only for one_singular)."""

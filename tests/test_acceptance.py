@@ -19,8 +19,9 @@ import pytest
 
 from toricreg import (GeneratorSet, betti_numbers, classify, degree,
                       eg_check, eg_inequality_suite, homogenize, naive_member,
-                      naive_sumset, one_singular_bound, reg, sigma,
-                      sizeA_bound, step_equality_holds, step_threshold)
+                      naive_sumset, one_singular_bound, reg, regularity,
+                      sigma, sizeA_bound, step_equality_holds,
+                      step_threshold)
 from toricreg.classify import ONE_SINGULAR, SMOOTH, is_chart_smooth
 from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
@@ -30,7 +31,7 @@ from toricreg.lattice import slice_size, unit
 from toricreg.oracle import (homology_recheck, naive_faces,
                              naive_minimal_generators, naive_slice_points)
 
-from instances import members
+from instances import level_gaps, members
 
 
 # --------------------------------------------------------------------------
@@ -197,11 +198,12 @@ def test_criterion_07_oracle_equivalence(quartic, even_sextic, sextic):
         A = _random_instance(rng)
         ys = [tuple(rng.randint(0, 2 * A.D) for _ in range(A.d))
               for _ in range(25)]
-        norms = np.array([sum(y) for y in ys])
-        A.level(int(norms.max()))
-        bridged = A.first_levels(np.array(ys)) <= norms
-        for y, b in zip(ys, bridged):
-            assert b == naive_member(A.points, y)
+        # sA grows with s, so for every s >= |y|, y is in <A> iff it is in
+        # sA: iff e divides |y|, which puts y in slice(s), and y is no gap
+        gaps = A.level(max(map(sum, ys))).gaps()
+        for y in ys:
+            bridged = sum(y) % A.e == 0 and not (gaps == y).all(1).any()
+            assert bridged == naive_member(A.points, y)
             checked += 1
     # every distinct homology profile of the worked examples, re-derived
     # over F_2 and F_32003 by the independent elimination code
@@ -210,7 +212,8 @@ def test_criterion_07_oracle_equivalence(quartic, even_sextic, sextic):
         sr = sigma(A)
         tables = set()
         for s in range(sr.sigma + A.d + 3):
-            _, tbl = face_tables_for_level(A, s, A.level(s).points)
+            _, tbl = face_tables_for_level(A, s, A.level(s).points,
+                                           level_gaps(A))
             tables.update(int(t) for t in np.unique(tbl))
         for t in tables:
             faces = frozenset(m for m in range(8) if t >> m & 1)
@@ -276,12 +279,14 @@ def test_criterion_10_cutoff_safety(smooth_corpus, singular_corpus,
                                     quartic, even_sextic, sextic):
     extras = [(A, None, None, None) for A in (quartic, even_sextic, sextic)]
     for A, report, sr, rr in smooth_corpus + singular_corpus + extras:
+        report = report or classify(A)
         if rr is None:
-            rr = reg(A)
-        wider = reg(A, report, sr, extra_levels=2)
-        assert wider.reg == rr.reg, A
-        assert wider.witness_y == rr.witness_y, A
-        assert wider.witness_i == rr.witness_i, A
+            rr = reg(A, report)
+        # the instance reg swept: e = D reduces it one dimension down
+        B = (classify(report.reduced).instance if report.reduced
+             else report.instance)
+        wider = regularity._sweep(B, rr.cutoff_norm // B.D + 2, "q")
+        assert wider == (rr.reg, rr.witness_y, rr.witness_i), A
     print(f"criterion 10: PASS (reg and witness stable under cutoff + 2D on "
           f"{len(smooth_corpus) + len(singular_corpus) + 3} instances)")
 

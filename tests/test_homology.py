@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricreg import (CertificationError, PreconditionError, betti_numbers,
-                      families, homogenize, homology, naive_member, reg,
-                      sigma)
+from toricreg import (CertificationError, PreconditionError,
+                      ResourceLimitError, betti_numbers, families,
+                      homogenize, homology, naive_member, oracle, reg)
 from toricreg.homology import (HOMOLOGY_CACHE_SIZE, face_tables_for_level,
                                min_nonzero_degree)
-from toricreg.lattice import _UNSEEN
-from toricreg.oracle import homology_recheck, naive_faces
+from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
 
-from instances import FAMILIES, family_instance
+from instances import (FAMILIES, arbitrary_sets, family_instance,
+                       level_gaps, members)
 
 
 def masks(*vertex_tuples):
@@ -165,8 +166,7 @@ def in_semigroup(A, y):
     """Is the homogenized y in S_A?  Every lifted generator has norm D, so
     iff |y| = s*D and the dehomogenized part y[1:] lies in sA."""
     s, rest = divmod(sum(y), A.D)
-    A.level(s)
-    return rest == 0 and bool(A.first_levels(np.array([y[1:]]))[0] <= s)
+    return rest == 0 and tuple(y[1:]) in members(A.level(s))
 
 
 class TestSemigroupMembership:
@@ -205,6 +205,31 @@ def t_faces(A, y):
     return naive_faces(homogenize(A), y)
 
 
+def naive_table(A, s, row):
+    """The face table of a row of slice(s) by the oracle: the faces of
+    its T_y as bits, or 0 when it is not in sA."""
+    y = (s * A.D - sum(row),) + tuple(row)
+    return (sum(1 << m for m in t_faces(A, y))
+            if oracle.naive_member(homogenize(A), y) else 0)
+
+
+@contextlib.contextmanager
+def cached_naive_member():
+    """``oracle.naive_member`` answering each query once: a slice's
+    faces ask the same points many times."""
+    cache = {}
+
+    def member(gens, y, naive_member=oracle.naive_member):
+        key = (tuple(map(tuple, gens)), tuple(y))
+        if key not in cache:
+            cache[key] = naive_member(gens, y)
+        return cache[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "naive_member", member)
+        yield
+
+
 class TestFaceComplexes:
     def test_quartic_witness_is_the_empty_complex(self, quartic):
         faces = t_faces(quartic, (4, 2, 2))
@@ -228,18 +253,30 @@ class TestFaceComplexes:
     def test_face_tables_match_naive_faces(self, quartic):
         for s in range(4):
             pts, tables = face_tables_for_level(
-                quartic, s, quartic.level(s).points)
-            for row, t in zip(pts, tables):
-                p = tuple(int(c) for c in row)
-                y = (s * quartic.D - sum(p),) + p
-                expected = sum(1 << m for m in t_faces(quartic, y))
-                assert int(t) == expected
+                quartic, s, quartic.level(s).points, level_gaps(quartic))
+            assert members(quartic.level(s)) <= set(map(tuple, pts.tolist()))
+            for row, t in zip(pts.tolist(), tables.tolist()):
+                assert t == naive_table(quartic, s, row)
 
     def test_face_tables_refuse_a_row_outside_the_level(self, quartic):
-        # (1, 1) is the quartic's hole; (4, 4) lies in level 2, not 1
-        for s, row in ((2, [1, 1]), (1, [4, 4])):
+        # (1, 1) is the quartic's hole: in slice(2), not in 2A, so its
+        # table is 0; (4, 4) lies in slice(2), not in slice(1), (-1, 3)
+        # in no slice and (1, 2) has a norm that e = 2 does not divide
+        pts, tables = face_tables_for_level(
+            quartic, 2, np.array([[0, 0], [1, 1]]), level_gaps(quartic))
+        assert dict(zip(map(tuple, pts.tolist()), tables.tolist()))[
+            (1, 1)] == 0
+        for s, row in ((1, [4, 4]), (2, [-1, 3]), (2, [1, 2])):
             with pytest.raises(PreconditionError, match="not in the level"):
-                face_tables_for_level(quartic, s, np.array([[0, 0], row]))
+                face_tables_for_level(quartic, s, np.array([[0, 0], row]),
+                                      level_gaps(quartic))
+
+    def test_face_tables_refuse_rows_without_an_int64_key(self):
+        # the key has radix s*D + 1 = 2**13 + 1 in each of 5 coordinates
+        A = families.veronese(5, 2)
+        with pytest.raises(ResourceLimitError, match="int64 key"):
+            face_tables_for_level(A, 2**12, np.zeros((1, 5), dtype=np.int64),
+                                  lambda t: np.zeros((0, 5), dtype=np.int64))
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from(["2", "D"]), st.integers(0, 3),
@@ -251,25 +288,25 @@ class TestFaceComplexes:
                                                  seed):
         # e = D puts the singular vertex's weight on the homogenizing bit
         A = family_instance(family, d, D, D if e == "D" else 2, seed)
-        pts, tables = face_tables_for_level(A, s, A.level(s).points)
+        pts, tables = face_tables_for_level(A, s, A.level(s).points,
+                                            level_gaps(A))
         rng = random.Random(seed)
         for r in rng.sample(range(len(pts)), min(len(pts), 4)):
-            p = tuple(int(c) for c in pts[r])
-            y = (s * A.D - sum(p),) + p
-            expected = sum(1 << m for m in t_faces(A, y))
-            assert int(tables[r]) == expected, (A, y)
+            assert int(tables[r]) == naive_table(A, s, pts[r].tolist()), A
 
-    def test_first_levels_outside_the_slice(self):
-        A = families.quartic_singular_surface()
-        assert A.first_levels(np.array([[0, 0]])).tolist() == [_UNSEEN]
-        A.level(2)  # the largest slice built: norm <= 8, even
-        rows = [[0, 0], [4, 0], [1, 1],  # levels 0 and 1, and the hole
-                [-1, 3], [1, 2], [6, 4]]  # negative, odd norm, norm 10
-        assert A.first_levels(np.array(rows)).tolist() == [
-            0, 1] + [_UNSEEN] * 4
-        sigma(A)  # the gaps are final: a row of any norm reads its level
-        assert A.first_levels(np.array(rows + [[9, 9]])).tolist() == [
-            0, 1, _UNSEEN, _UNSEEN, _UNSEEN, 3, 5]
+    @given(arbitrary_sets(max_d=2, max_D=4), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_face_tables_of_a_whole_slice_match_naive(self, A, s):
+        # every point of slice(s) as a row, at levels below and above the
+        # one where the gaps become final: a member reads the faces of
+        # its T_y, a gap reads 0, and no gap shift leaves the slice
+        rows = sorted(naive_slice_points(A.d, s * A.D, A.e))
+        pts, tables = face_tables_for_level(A, s, np.array(rows),
+                                            level_gaps(A))
+        assert pts.tolist() == [list(p) for p in rows]
+        with cached_naive_member():
+            for row, t in zip(rows, tables.tolist()):
+                assert t == naive_table(A, s, row), (A, s, row)
 
     def test_oracle_recheck(self, even_sextic):
         faces = t_faces(even_sextic, (6, 9, 15))

@@ -246,21 +246,27 @@ class TestGeneratorSet:
 
     @given(arbitrary_sets(), st.integers(0, 4), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_first_levels_match_naive_member(self, A, top, data):
+    def test_level_views_match_naive_member(self, A, top, data):
         # rows of any norm, negative coordinates included: row y is in sA
-        # iff (s*D - |y|, y) is in the semigroup of the lifted generators.
-        # A set whose gaps became final by level top answers every level,
-        # rows above its top slice included; the others answer up to top
+        # iff (s*D - |y|, y) is in the semigroup of the lifted generators,
+        # and a gap of level s iff it is in slice(s) but not in sA.  A set
+        # whose gaps became final by level top reads every level, those
+        # above its top slice included; the others read up to top
         rows = data.draw(st.lists(
             st.tuples(*[st.integers(-1, (top + 2) * A.D // A.d + 1)] * A.d),
             min_size=1, max_size=8))
         A.level(top)
-        first = A.first_levels(np.array(rows))
         B = homogenize(A)
-        for y, f in zip(rows, first):
-            for s in range(top + 3 if A._stable else top + 1):
-                assert (f <= s) == naive_member(B, (s * A.D - sum(y),) + y), (
-                    A, y, s)
+        for s in range(top + 3 if A.stable_level is not None else top + 1):
+            level = A.level(s)
+            gaps = set(map(tuple, level.gaps().tolist()))
+            points = members(level)
+            for y in rows:
+                in_slice = (min(y) >= 0 and sum(y) <= s * A.D
+                            and sum(y) % A.e == 0)
+                member = naive_member(B, (s * A.D - sum(y),) + y)
+                assert (y in points) == member, (A, y, s)
+                assert (y in gaps) == (in_slice and not member), (A, y, s)
 
     def test_stable_set_builds_no_level_above_its_top(self, quartic,
                                                       monkeypatch):

@@ -50,6 +50,22 @@ def rank_uses(source: str) -> set[str]:
     return found & (RANK_NAMES | {".slice("})
 
 
+def private_lattice_names(source: str) -> set[str]:
+    """``_``-prefixed names a module takes from ``lattice``: imported from
+    it, or read as attributes of it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "lattice"):
+            found.update(a.name for a in node.names
+                         if a.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "lattice" and node.attr.startswith("_")):
+            found.add(node.attr)
+    return found
+
+
 class TestRanksStayInLattice:
     def test_rank_checker(self):
         assert rank_uses("pts = A.slice(s - 2).unrank(gaps)") == {
@@ -58,6 +74,25 @@ class TestRanksStayInLattice:
             "_UNSEEN", "SimplexSlice"}
         assert rank_uses('"""unrank through A._top"""\nx = lvl.gaps()') \
             == set()
+
+    def test_private_name_checker(self):
+        assert private_lattice_names(
+            "from .lattice import _BATCH_ROWS, GeneratorSet") == {
+            "_BATCH_ROWS"}
+        assert private_lattice_names(
+            "from toricreg.lattice import _UNSEEN") == {"_UNSEEN"}
+        assert private_lattice_names(
+            "from . import lattice\nn = lattice._BATCH_ROWS") == {
+            "_BATCH_ROWS"}
+        assert private_lattice_names(
+            "from .lattice import GeneratorSet\nA._first") == set()
+
+    def test_no_module_takes_a_private_lattice_name(self):
+        package = Path(oracle.__file__).parent
+        found = {path.name: private_lattice_names(path.read_text())
+                 for path in sorted(package.glob("*.py"))
+                 if path.name != "lattice.py"}
+        assert {name: names for name, names in found.items() if names} == {}
 
     def test_only_lattice_handles_ranks(self):
         package = Path(oracle.__file__).parent

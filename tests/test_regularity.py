@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from toricreg import (CertificationError, GeneratorSet, InvalidInstanceError,
                       PreconditionError, UnsupportedInstanceError, classify,
                       degree, eg_check, eg_inequality_suite, families,
-                      herzog_hibi_bound, homogenize, one_singular_bound,
-                      oracle, reg, regularity, sigma, sizeA_bound)
+                      herzog_hibi_bound, homogenize, lattice,
+                      one_singular_bound, oracle, reg, regularity, sigma,
+                      sizeA_bound)
 from toricreg.classify import OTHER
 from toricreg.cli import analysis_bundle
 from toricreg.homology import face_tables_for_level, min_nonzero_degree
@@ -23,7 +24,8 @@ from toricreg.families import (minimal_smooth, one_singular_base,
 from toricreg.linalg import bareiss_det, gcd_of_maximal_minors
 from toricreg.oracle import homology_recheck, naive_faces
 
-from instances import FAMILIES, arbitrary_sets, family_instance
+from instances import (FAMILIES, arbitrary_sets, family_instance,
+                       level_gaps)
 
 
 def minors_gcd(A):
@@ -40,8 +42,8 @@ def full_sweep(A, max_level, field):
     A.level(max_level)
     found = []  # (-value, y, i)
     for s in range(max_level + 1):
-        pts, tables = face_tables_for_level(A, s, A.level(s).points)
-        tables = tables.view(np.uint64)
+        pts, tables = face_tables_for_level(A, s, A.level(s).points,
+                                            level_gaps(A))
         for t in np.unique(tables):
             i = min_nonzero_degree(int(t), A.d + 1, field)
             if i is not None:
@@ -222,15 +224,26 @@ class TestReg:
         assert A._top is None
 
     def test_cutoff_safety(self, quartic):
+        # two levels past the certified cutoff find nothing new
         base = reg(quartic)
-        wider = reg(quartic, extra_levels=2)
-        assert wider.reg == base.reg
-        assert wider.witness_y == base.witness_y
+        assert regularity._sweep(
+            quartic, base.cutoff_norm // quartic.D + 2, "q") == (
+            base.reg, base.witness_y, base.witness_i)
 
-    def test_negative_extra_levels_rejected(self, quartic):
-        # extra_levels=-4 would sweep to norm 8, below the certified 24
-        with pytest.raises(PreconditionError, match="extra_levels"):
-            reg(quartic, extra_levels=-4)
+    @pytest.mark.parametrize("make", [
+        families.quartic_singular_surface, lambda: minimal_smooth(4, 4)])
+    def test_reg_after_sigma_ranks_nothing(self, make, monkeypatch):
+        # the face tables are read off the gaps of levels sigma built
+        A = make()
+        report = classify(A)
+        sr = sigma(A, report)
+        calls = []
+        rank = lattice.SimplexSlice.rank_array
+        monkeypatch.setattr(lattice.SimplexSlice, "rank_array",
+                            lambda sl, pts: (calls.append(len(pts)),
+                                             rank(sl, pts))[1])
+        reg(A, report, sr)
+        assert calls == []
 
     @given(st.one_of(
         st.builds(family_instance, st.sampled_from(FAMILIES),
@@ -270,7 +283,7 @@ class TestCandidateRows:
         sr = sigma(B, report)
         cutoff = sr.sigma + B.d + 2 + extra
         got = regularity._sweep(B, cutoff, field)
-        rr = reg(B, report, sr, field=field, extra_levels=extra)
+        rr = reg(B, report, sr, field=field)
         # nothing above the level where the gaps become final was built
         assert B._top.s == stable_level(B)
         plain = regularity._sweep(GeneratorSet(B.d, B.points), cutoff, field)
@@ -285,19 +298,22 @@ class TestCandidateRows:
         arbitrary_sets(max_d=3, max_D=5)), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_rows_left_out_are_full_simplices(self, A, level):
-        # the lemma behind the candidate rows, on full levels
+        # the lemma behind the rows the sweep tables, on full levels: a
+        # row that is no gap shift has the full simplex on J = {j : y_j
+        # >= D} as T_y, and J is empty only for a box row
         d, D = A.d, A.D
-        pts, tables = face_tables_for_level(A, level, A.level(level).points)
-        cand = regularity._candidates(A, level, lambda t: A.level(t).gaps())
-        chosen = set(map(tuple, cand.tolist()))
-        assert len(chosen) == len(cand)
-        assert chosen <= set(map(tuple, pts.tolist()))
+        pts, tables = face_tables_for_level(A, level, A.level(level).points,
+                                            level_gaps(A))
+        shifts, _ = face_tables_for_level(
+            A, level, np.zeros((0, d), dtype=np.int64), level_gaps(A))
+        shifts = set(map(tuple, shifts.tolist()))
+        assert shifts <= set(map(tuple, pts.tolist()))
         for row, t in zip(pts.tolist(), tables.tolist()):
-            if tuple(row) in chosen:
+            if tuple(row) in shifts:
                 continue
             y = (level * D - sum(row),) + tuple(row)
             J = sum(1 << j for j in range(d + 1) if y[j] >= D)
-            assert J, (A, y)
+            assert J or level * D <= (d + 1) * (D - 1), (A, y)
             assert t == sum(1 << m for m in range(J + 1) if m & J == m), (
                 A, y)
 
@@ -311,14 +327,15 @@ class TestCandidateRows:
         lambda: GeneratorSet(1, [(0,), (2,), (3,)])])
     def test_no_level_above_the_settled_top(self, make):
         top = stable_level(make())
-        for extra in (0, 2):
-            A = make()
-            report = classify(A)
-            assert report.instance is A
-            sr = sigma(A, report)
-            assert A._top.s == top
-            reg(A, report, sr, extra_levels=extra)
-            assert A._top.s == top
+        A = make()
+        report = classify(A)
+        assert report.instance is A
+        sr = sigma(A, report)
+        assert A._top.s == top
+        rr = reg(A, report, sr)
+        assert A._top.s == top
+        regularity._sweep(A, rr.cutoff_norm // A.D + 2, "q")
+        assert A._top.s == top
         A = make()
         analysis_bundle(A, "q", None)
         assert A._top.s == top

@@ -32,9 +32,9 @@ def reference_sigma(A):
     t, end = ((b.upper, b.upper) if b.smooth
               else (max(b.t0, 0), max(b.s0, 0)))
     sl = SimplexSlice(A.d, A.D, t, A.e)
-    cand = sl.unrank(np.arange(sl.size))
-    A.level(end)
-    holes = frozenset(map(tuple, cand[A.first_levels(cand) > end].tolist()))
+    level = members(A.level(end))
+    holes = frozenset(p for p in map(tuple, sl.unrank(
+        np.arange(sl.size)).tolist()) if p not in level)
     enclosing = enclosing_level(holes, A.D)
     fail_max = max((s for s in range(end + 1)
                     if A.level(s).cardinality != slice_size(
