@@ -8,8 +8,8 @@ rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
 engine: its one record holds, for each rank, the first level s with the
 point in sA, and one slice, its top built level's, ranks every level; once
 the gaps are final, no level above it is built.  ``SumsetLevel`` objects
-are views of that record that read their slice sizes from the top slice's
-tables, and from the closed form above it.
+are views of that record that read every slice size from the closed form
+and unrank their points through a capped slice(s) of their own.
 
 The level build ranks the shifts of the new points by every generator.
 It stacks the copies into one array per batch, so numpy is called once
@@ -67,12 +67,13 @@ def slice_size(d: int, N: int, e: int = 1) -> int:
 
 
 def capped_slice_size(d: int, D: int, s: int, e: int, max_size: int) -> int:
-    """|slice(s)|, refused with ``ResourceLimitError`` above ``max_size``."""
+    """|slice(s)|, refused with ``ResourceLimitError`` when it or the s*D + 1
+    norms its tables index (the larger only at d = 1) exceed ``max_size``."""
     size = slice_size(d, s * D, e)
-    if size > max_size:
+    if max(size, s * D + 1) > max_size:
         raise ResourceLimitError(
-            f"slice d={d} D={D} s={s} e={e} holds {size} points "
-            f"(cap {max_size})")
+            f"slice d={d} D={D} s={s} e={e} holds {size} points over "
+            f"{s * D + 1} norms (cap {max_size})")
     return size
 
 
@@ -157,11 +158,7 @@ class SumsetLevel:
 
     @property
     def size(self) -> int:
-        """|slice(s)|: read from the top slice's tables when that slice
-        holds slice(s), else from the closed form."""
-        top = self._A._top
-        if self.s <= top.s:
-            return int(top._last[self.s * self._A.D]) + 1
+        """|slice(s)|, from the closed form."""
         return slice_size(self._A.d, self.s * self._A.D, self._A.e)
 
     @property
@@ -178,12 +175,11 @@ class SumsetLevel:
 
     @property
     def points(self) -> np.ndarray:
-        """(cardinality, d) array of sA, in rank order."""
+        """(cardinality, d) array of sA, in rank order, from slice(s)."""
         A = self._A
-        sl = A._top if self.s <= A._top.s else SimplexSlice(
-            A.d, A.D, self.s, A.e, A.max_slice_size)
-        member = np.ones(self.size, dtype=bool)
-        member[:len(A._first)] = A._first[:self.size] <= self.s
+        sl = SimplexSlice(A.d, A.D, self.s, A.e, A.max_slice_size)
+        member = np.ones(sl.size, dtype=bool)
+        member[:len(A._first)] = A._first[:sl.size] <= self.s
         return sl.unrank(np.flatnonzero(member))
 
 
@@ -196,8 +192,9 @@ class GeneratorSet:
     the first level holding the point of rank r.  The set keeps one
     ``SimplexSlice``, ``_top``, of its top built level: every slice below
     is a prefix of it with the same ranks, so ``_top.unrank`` gives the
-    points of any level.  ``level`` returns a fresh view, so no level
-    refers back to a set that holds it and a dropped set is freed at once.
+    gaps of any level and the frontier of the next build.  ``level``
+    returns a fresh view, so no level refers back to a set that holds it
+    and a dropped set is freed at once.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: ranks over Q and F_p, determinants,
 and gcds of maximal minors.
 
-Everything works on Python ints (no float rounding, no overflow); the
-Bareiss fraction-free elimination keeps intermediate entries as honest
-subdeterminants.
+Everything works on Python ints (no float rounding, no overflow).  One
+Bareiss fraction-free elimination, whose intermediate entries are honest
+subdeterminants, gives both the rank over Q and the determinant.  The
+rank over F_p is a separate loop: its entries are reduced mod p and need
+no exact division.
 """
 
 from __future__ import annotations
@@ -15,19 +17,20 @@ def _to_rows(M) -> list[list[int]]:
     return [[int(x) for x in row] for row in M]
 
 
-def bareiss_rank(M) -> int:
-    """Rank over Q of an integer matrix, via fraction-free elimination."""
+def _bareiss(M) -> tuple[int, int]:
+    """Fraction-free elimination: the rank over Q of an integer matrix and
+    its last pivot, signed by the row swaps.  Pivots are minors of M, so
+    for a square M of full rank the signed last pivot is det M."""
     rows = _to_rows(M)
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    prev = 1
-    r = 0
+    m, n = len(rows), len(rows[0]) if rows else 0
+    sign, prev, r = 1, 1, 0
     for c in range(n):
         piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         p = rows[r][c]
         for i in range(r + 1, m):
             f = rows[i][c]
@@ -37,32 +40,19 @@ def bareiss_rank(M) -> int:
         r += 1
         if r == m:
             break
-    return r
+    return r, sign * prev
+
+
+def bareiss_rank(M) -> int:
+    """Rank over Q of an integer matrix, via fraction-free elimination."""
+    return _bareiss(M)[0]
 
 
 def bareiss_det(M) -> int:
     """Determinant of a square integer matrix (exact)."""
-    rows = _to_rows(M)
-    n = len(rows)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in rows)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            for j in range(c, n):
-                rows[i][j] = (rows[i][j] * p - f * rows[c][j]) // prev
-        prev = p
-    return sign * rows[n - 1][n - 1]
+    assert all(len(row) == len(M) for row in M)
+    rank, pivot = _bareiss(M)
+    return pivot if rank == len(M) else 0
 
 
 def rank_mod_p(M, p: int) -> int:

@@ -113,6 +113,16 @@ class TestExitCodes:
         path = write_instance(quartic)
         assert run(capsys, "--max-slice", "4", "sigma", path)[0] == 2
 
+    def test_resource_cap_counts_the_norms(self, capsys, tmp_path):
+        # slice(1) of {0, 1000} holds 2 points, but its rank tables index
+        # the 1001 norms 0..1000
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"d": 1, "A": [[0], [1000]]}))
+        code, out, err = run(capsys, "--max-slice", "100", "sumset",
+                             str(path), "--s", "1")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_max_slice_below_one_rejected(self, capsys, write_instance,
                                           quartic, cap):

@@ -215,6 +215,15 @@ class TestGeneratorSet:
             hilbert_function(A, 40)
         assert A._top is None
 
+    def test_size_cap_bounds_the_rank_tables(self):
+        # d = 1, e = D: slice(1) holds the 2 points 0 and D, but its rank
+        # tables index the D + 1 norms 0..D, and the cap counts those too
+        A = GeneratorSet(1, [(0,), (1000,)], max_slice_size=100)
+        with pytest.raises(ResourceLimitError, match=r"s=1 .*\(cap 100\)"):
+            A.level(1)
+        assert A._top is None
+        assert A.level(0).cardinality == 1
+
     def test_random_sets_match_naive(self):
         rng = random.Random(7)
         for _ in range(10):
