@@ -24,6 +24,7 @@ A disagreement between the two routes aborts with CertificationError.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
@@ -43,10 +44,11 @@ def is_chart_smooth(A: GeneratorSet, i: int) -> bool:
     generator on that axis divides the j-th entry of every chart
     generator (proof in the module docstring).
     """
-    gens = [b[:i] + b[i + 1:] for b in homogenize(A)]
+    # each chart generator with its norm: b has norm D, so g has D - b[i]
+    gens = [(b[:i] + b[i + 1:], A.D - b[i]) for b in homogenize(A)]
     for j in range(A.d):
-        c = min(g[j] for g in gens if g[j] == sum(g) > 0)
-        if any(g[j] % c for g in gens):
+        c = min(g[j] for g, norm in gens if g[j] == norm > 0)
+        if any(g[j] % c for g, _ in gens):
             return False
     return True
 
@@ -98,38 +100,65 @@ def _corner(d1: int, D: int, i: int, j: int) -> Point:
                  for t in range(d1))
 
 
+def _corner_pairs(B: set[Point], D: int) -> set[tuple[int, int]]:
+    """The (i, j) with (D-1)e_i + e_j in B, read in one pass over B."""
+    pairs = set()
+    for b in B:
+        if b.count(0) != len(b) - 2:
+            continue
+        p, q = (t for t, c in enumerate(b) if c)
+        if (b[p], b[q]) == (D - 1, 1):
+            pairs.add((p, q))
+        if (b[p], b[q]) == (1, D - 1):  # also the first when D = 2
+            pairs.add((q, p))
+    return pairs
+
+
 def _generator_verdict(A: GeneratorSet):
-    """(verdict, e, vertex, certificates) from the generators alone."""
+    """(verdict, e, vertex, certificates) from the generators alone.
+
+    The corners (D-1)e_i + e_j are looked up by (i, j), so only the
+    certificate returned is built as vectors.
+    """
     d1 = A.d + 1
     D = A.D
     B = set(homogenize(A))
+    have = _corner_pairs(B, D)
 
-    required = [_corner(d1, D, i, j)
-                for i in range(d1) for j in range(d1) if i != j]
-    if all(v in B for v in required):
-        return SMOOTH, 1, None, {"smooth_vectors": required}
+    required = [(i, j) for i in range(d1) for j in range(d1) if i != j]
+    if len(have) == len(required):
+        return SMOOTH, 1, None, {
+            "smooth_vectors": [_corner(d1, D, i, j) for i, j in required]}
 
+    touching = [0] * d1  # corners present with k among (i, j)
+    for i, j in have:
+        touching[i] += 1
+        touching[j] += 1
     for k in range(d1):
+        if len(have) - touching[k] < (d1 - 1) * (d1 - 2):
+            continue  # an off-vertex corner is missing
         others = [i for i in range(d1) if i != k]
-        off_vertex = [v for v in required if v[k] == 0]
-        if not all(v in B for v in off_vertex):
-            continue
         e = gcd(D, *(b[k] for b in B))
         edge = [tuple((e if t == k else 0) + (D - e if t == j else 0)
                       for t in range(d1))
                 for j in others]
         if not all(v in B for v in edge):
             continue
-        certs = {"off_vertex_vectors": off_vertex, "edge_vectors": edge}
+        certs = {"off_vertex_vectors": [_corner(d1, D, i, j)
+                                        for i, j in required
+                                        if k not in (i, j)],
+                 "edge_vectors": edge}
         if e == 1:
-            missing = [j for j in others if _corner(d1, D, k, j) not in B]
+            missing = [j for j in others if (k, j) not in have]
             if not missing:
                 continue  # would be smooth, contradiction caught below
             certs["missing_unit_witness"] = missing[0]
         return ONE_SINGULAR, e, k, certs
 
-    missing = [v for v in required if v not in B]
-    return OTHER, None, None, {"failed_smooth_vectors": missing[:4]}
+    missing = itertools.islice(((i, j) for i, j in required
+                                if (i, j) not in have), 4)
+    return OTHER, None, None, {
+        "failed_smooth_vectors": [_corner(d1, D, i, j) for i, j in missing]}
 
 
 def classify(A: GeneratorSet) -> ClassificationReport:

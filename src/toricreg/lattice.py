@@ -13,10 +13,11 @@ and unrank their points through a capped slice(s) of their own.
 
 The level build ranks the shifts of the new points by every generator.
 It stacks the copies into one array per batch, so numpy is called once
-per level rather than once per generator, and ``_BATCH_ROWS`` bounds a
+per level rather than once per generator, and ``batch_bound`` bounds a
 batch: it holds at most max(m, _BATCH_ROWS) rows, m being one copy's
 rows.  A batch thus needs no more memory than a single copy, or
-~_BATCH_ROWS * d int64 entries when the copies are small.
+~_BATCH_ROWS * d int64 entries when the copies are small.  The reg
+sweep batches its levels by the same bound.
 
 Ranks are private to this module: levels hand out their members and gaps
 as (n, d) arrays of points in rank order, so other modules read norms and
@@ -44,6 +45,13 @@ _UNSEEN = np.iinfo(np.int32).max
 #: A batch of shifted copies of an m-row array holds at most
 #: max(m, _BATCH_ROWS) rows (see the module docstring).
 _BATCH_ROWS = 1 << 14
+
+
+def batch_bound(m: int) -> int:
+    """The most rows a batch may hold when its first part has m rows:
+    max(m, _BATCH_ROWS), so no more memory than the part alone needs,
+    or ~_BATCH_ROWS rows when the parts are small."""
+    return max(m, _BATCH_ROWS)
 
 
 def unit(d: int, i: int, scale: int = 1) -> Point:
@@ -117,11 +125,14 @@ class SimplexSlice:
 
         Inside the layer of norm n, the points colex-after z are counted
         by prefix sums: sum over c of #{w in N^c : |w| < z_0 + ... + z_(c-1)}.
+        They are taken by d - 1 column adds into a copy, as a cumsum
+        along the rows runs row by row.
         """
-        pts = np.asarray(points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
+        prefix = np.array(points, dtype=np.int64)
+        if prefix.ndim != 2 or prefix.shape[1] != self.d:
             raise PreconditionError(f"expected shape (n, {self.d})")
-        prefix = np.cumsum(pts, axis=1)
+        for c in range(1, self.d):
+            prefix[:, c] += prefix[:, c - 1]
         ranks = self._last[prefix[:, -1]]
         for c in range(self.d - 1):
             ranks -= self._below[c][prefix[:, c]]
@@ -234,6 +245,9 @@ class GeneratorSet:
         self._top: SimplexSlice | None = None
         self._first = np.zeros(0, dtype=np.int32)
         self._stable = False
+        # the nonzero generators as an array, made by the first build
+        # above level 0 (families make many sets they never build)
+        self._gens: np.ndarray | None = None
 
     # -- sumsets --------------------------------------------------------
 
@@ -283,8 +297,10 @@ class GeneratorSet:
             first[0] = 0  # the origin
         else:
             frontier = self._top.unrank(np.flatnonzero(self._first == s - 1))
-            gens = np.array(self.points[1:], dtype=np.int64)  # origin first
-            step = max(1, max(len(frontier), _BATCH_ROWS) // len(frontier))
+            if self._gens is None:  # self.points has the origin first
+                self._gens = np.array(self.points[1:], dtype=np.int64)
+            gens = self._gens
+            step = max(1, batch_bound(len(frontier)) // len(frontier))
             for j in range(0, len(gens), step):
                 shifts = frontier[None] + gens[j:j + step, None]
                 ranks = sl.rank_array(shifts.reshape(-1, self.d))

@@ -7,14 +7,17 @@ or sigma+d+2 (one singular point) every complex is provably acyclic in
 all degrees up to d.  Below it only the rows whose T_y can carry
 homology get a face table, read off the gaps (see ``_sweep``), and no
 level above the one where the gaps become final is built: the generator
-set reads every higher level as its slice minus those gaps.
+set reads every higher level as its slice minus those gaps.  The sweep
+tables consecutive levels in batches bounded like the level build's
+(``lattice.batch_bound``), so a small instance takes one or two calls
+and a level over that bound is tabled on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Optional
 
 import numpy as np
@@ -24,8 +27,9 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
 from .errors import (CertificationError, PreconditionError,
                      UnsupportedInstanceError)
 from .homology import (FieldTag, check_face_table_dimension,
-                       face_tables_for_level, min_nonzero_degree)
-from .lattice import GeneratorSet, Point, homogenize
+                       face_tables_for_level, min_nonzero_degree,
+                       table_key_fits)
+from .lattice import GeneratorSet, Point, batch_bound, homogenize
 from .linalg import gcd_of_maximal_minors
 from .sumsets import SigmaResult, sigma, sigma_bounds
 
@@ -90,33 +94,77 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     ``face_tables_for_level``), so no least point with homology is lost.
     A set that ``sigma`` left stable builds no more levels: it reads
     them all.
+
+    Consecutive levels are tabled in batches, one call each.  Level s
+    has sum over t of |gaps(t)| * C(d+1, s-t) shift rows plus its box
+    rows, known before any is built.  A batch takes levels while its
+    rows stay at most ``batch_bound`` of its first level's rows, the
+    bound of the level build, and its sort key fits in int64 (see
+    ``table_key_fits``).  So a level over ``lattice._BATCH_ROWS`` rows
+    is a batch of its own and a small instance takes one or two calls.
+    Only the gaps of levels lo - d - 1 up to the batch's last, and the
+    next level's once counted, are held.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
-    held = {}  # the gaps of the d + 2 levels up to s
+    held = {}  # gaps of the levels the current batch reads
+    boxes = {}  # homogenized box rows of the levels counted, not tabled
+    empty = np.zeros((0, d + 1), dtype=np.int64)
 
     def gaps(t):
         if t not in held:
             held[t] = A.level(t).gaps()
         return held[t]
 
-    found = []  # (-value, y, i)
-    for s in range(max_level + 1):
-        held.pop(s - d - 2, None)  # no longer needed
-        rows = np.zeros((0, d), dtype=np.int64)
-        if s * D <= (d + 1) * (D - 1):
+    def box(s):
+        if s * D > (d + 1) * (D - 1):
+            return empty
+        if s not in boxes:
             pts = A.level(s).points
-            rows = pts[(pts < D).all(axis=1) & (pts.sum(axis=1) > s * D - D)]
-        pts, tables = face_tables_for_level(A, s, rows, gaps)
-        # the points are in lexicographic order, so each table's first
-        # is its least; a point outside sA has table 0 and no faces
-        tables, first = np.unique(tables, return_index=True)
-        for t, r in zip(tables.tolist(), first.tolist()):
+            pts = pts[(pts < D).all(axis=1) & (pts.sum(axis=1) > s * D - D)]
+            boxes[s] = np.column_stack((s * D - pts.sum(axis=1), pts))
+        return boxes[s]
+
+    def level_rows(s, room):
+        """The rows of level s, or a count above room once the shifts of
+        the lower levels pass it, so a level that cannot join a batch
+        is not read."""
+        n = sum(len(gaps(t)) * comb(d + 1, s - t)
+                for t in range(max(0, s - d - 1), s))
+        return n if n > room else n + len(gaps(s)) + len(box(s))
+
+    found = []  # (-value, y, i)
+    lo = 0
+    while lo <= max_level:
+        for t in [t for t in held if t < lo - d - 1]:
+            del held[t]  # no longer needed
+        rows = level_rows(lo, inf)
+        budget = batch_bound(rows)
+        hi = lo
+        while hi < max_level and table_key_fits(A, range(lo, hi + 2)):
+            more = level_rows(hi + 1, budget - rows)
+            if rows + more > budget:
+                break
+            rows += more
+            hi += 1
+        batch = range(lo, hi + 1)
+        pts, tables = face_tables_for_level(
+            A, batch, np.concatenate([boxes.pop(s, empty) for s in batch]),
+            gaps)
+        # the points are by level, each level's in lexicographic order,
+        # so the first of a (level, table) pair is the least of that
+        # level's points with that table; a point outside sA has table 0
+        # and no faces
+        levels = pts.sum(axis=1) // D
+        kinds, kind = np.unique(tables, return_inverse=True)
+        _, first = np.unique(levels * len(kinds) + kind, return_index=True)
+        for t, s, y in zip(tables[first].tolist(), levels[first].tolist(),
+                           pts[first].tolist()):
             i = min_nonzero_degree(t, d + 1, field) if t else None
             if i is not None:
-                p = tuple(pts[r].tolist())
-                found.append((i + 1 - s, (s * D - sum(p),) + p, i))
+                found.append((i + 1 - s, tuple(y), i))
+        lo = hi + 1
     neg, y, i = min(found)
     return -neg, y, i
 

@@ -1,14 +1,18 @@
 """Instances of the four generator families, and arbitrary generator
-sets, for hypothesis tests."""
+sets, for hypothesis tests; face tables of one level, and two reference
+sweeps for ``regularity._sweep``."""
 
 import random
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toricreg import GeneratorSet, families
+from toricreg import GeneratorSet, families, homogenize
+from toricreg.homology import face_tables_for_level, min_nonzero_degree
 from toricreg.lattice import unit
-from toricreg.oracle import naive_slice_points
+from toricreg.oracle import (homology_recheck, naive_faces,
+                             naive_slice_points, naive_sumset)
 
 FAMILIES = ("veronese", "minimal_smooth", "smooth_random", "one_singular")
 
@@ -18,10 +22,14 @@ def members(level):
     return set(map(tuple, level.points.tolist()))
 
 
-def level_gaps(A):
-    """The ``gaps`` argument of ``face_tables_for_level``: level t's
-    gaps, read from A's level views."""
-    return lambda t: A.level(t).gaps()
+def level_tables(A, s, rows):
+    """``face_tables_for_level`` on level s alone, its gaps read from A's
+    level views, with dehomogenized rows in and points out."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.d)
+    rows = np.column_stack((s * A.D - rows.sum(axis=1), rows))
+    pts, tables = face_tables_for_level(A, range(s, s + 1), rows,
+                                        lambda t: A.level(t).gaps())
+    return pts[:, 1:], tables
 
 
 def family_instance(family, d, D, e, seed):
@@ -48,3 +56,42 @@ def arbitrary_sets(draw, max_d=3, max_D=7):
     pool = sorted(naive_slice_points(d, D) - required)
     extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
     return GeneratorSet(d, required | set(extra))
+
+
+def full_sweep(A, max_level, field):
+    """``regularity._sweep`` as it was before it chose its rows: every
+    point of every level 0..max_level gets a face table."""
+    A.level(max_level)
+    found = []  # (-value, y, i)
+    for s in range(max_level + 1):
+        pts, tables = level_tables(A, s, A.level(s).points)
+        for t in np.unique(tables):
+            i = min_nonzero_degree(int(t), A.d + 1, field)
+            if i is not None:
+                p = min(map(tuple, pts[tables == t].tolist()))
+                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
+    neg, y, i = min(found)
+    return -neg, y, i
+
+
+def oracle_witness(A, levels, p=32003):
+    """(reg, witness_y, witness_i) over levels 0..levels by the rule of
+    docs/formats.md, from the oracles alone: in each level, the least
+    dehomogenized member with a given face family stands for that family,
+    and among the families with homology over F_p the largest s - (i + 1)
+    wins, ties going to the least homogenized y."""
+    gens = homogenize(A)
+    found = []
+    for s in range(levels + 1):
+        least = {}  # face family -> its least member, by dehomogenized part
+        for y in sorted(naive_sumset(gens, s), key=lambda y: y[1:]):
+            least.setdefault(naive_faces(gens, y), y)
+        for faces, y in least.items():
+            betti = homology_recheck(
+                [[j for j in range(A.d + 1) if f >> j & 1] for f in faces],
+                p)
+            i = min((i for i, b in betti.items() if b), default=None)
+            if i is not None:
+                found.append((i + 1 - s, y, i))
+    neg, y, i = min(found)
+    return -neg, y, i

@@ -26,12 +26,11 @@ from toricreg.classify import ONE_SINGULAR, SMOOTH, is_chart_smooth
 from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
                                smooth_random_superset, veronese)
-from toricreg.homology import face_tables_for_level
 from toricreg.lattice import slice_size, unit
 from toricreg.oracle import (homology_recheck, naive_faces,
                              naive_minimal_generators, naive_slice_points)
 
-from instances import level_gaps, members
+from instances import level_tables, members
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +211,7 @@ def test_criterion_07_oracle_equivalence(quartic, even_sextic, sextic):
         sr = sigma(A)
         tables = set()
         for s in range(sr.sigma + A.d + 3):
-            _, tbl = face_tables_for_level(A, s, A.level(s).points,
-                                           level_gaps(A))
+            _, tbl = level_tables(A, s, A.level(s).points)
             tables.update(int(t) for t in np.unique(tbl))
         for t in tables:
             faces = frozenset(m for m in range(8) if t >> m & 1)

@@ -1,23 +1,26 @@
-"""The sumset engine's batched kernel: the level build ranks the shifts
-of many generators at once.  ``lattice._BATCH_ROWS`` bounds a batch;
-set to 1, every level build runs one generator at a time, and small
-values split batches inside a level.  The records must not depend on
-it."""
+"""The batched kernels: the level build ranks the shifts of many
+generators at once, and the reg sweep tables many levels at once.
+``lattice._BATCH_ROWS`` bounds both batches; set to 1, every level build
+runs one generator at a time and every sweep batch holds one level with
+rows, and small values split batches inside a level.  The records and
+the sweep must not depend on it."""
 
 import contextlib
 import functools
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricreg import GeneratorSet, lattice, naive_sumset
+from toricreg import GeneratorSet, lattice, naive_sumset, reg, regularity
 from toricreg.cli import analysis_bundle
 from toricreg.families import minimal_smooth, veronese
 from toricreg.lattice import _UNSEEN, SimplexSlice
 
-from instances import arbitrary_sets
+from instances import (FAMILIES, arbitrary_sets, family_instance,
+                       full_sweep, oracle_witness)
 
 SMALL_BATCHES = [1, 7, 64]
 
@@ -28,6 +31,34 @@ def batch_rows(n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_BATCH_ROWS", n)
         yield
+
+
+@contextlib.contextmanager
+def sweep_batches():
+    """Yields the list of level ranges the sweep tables, one per call."""
+    batches = []
+    tables = regularity.face_tables_for_level
+
+    def recorded(A, levels, rows, gaps):
+        batches.append(levels)
+        return tables(A, levels, rows, gaps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "face_tables_for_level", recorded)
+        yield batches
+
+
+def level_rows(A, s):
+    """The rows the sweep builds for level s: every gap shift and, in the
+    low levels, the box rows."""
+    d, D = A.d, A.D
+    n = sum(len(A.level(t).gaps()) * comb(d + 1, s - t)
+            for t in range(max(0, s - d - 1), s + 1))
+    if s * D <= (d + 1) * (D - 1):
+        y = A.level(s).points
+        n += int(np.count_nonzero((y < D).all(axis=1)
+                                  & (y.sum(axis=1) > s * D - D)))
+    return n
 
 
 class TestSmallBatches:
@@ -127,3 +158,37 @@ class TestBatchGuards:
         assert len(done) == A.stable_level + 1 > 2
         assert [n for _, n in done] == [0] + [1] * A.stable_level
         assert outside == []
+
+
+class TestSweepBatches:
+    @given(st.one_of(
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 2), st.integers(2, 4),
+                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16)),
+        arbitrary_sets(max_d=2, max_D=4)), st.integers(0, 4),
+        st.sampled_from(["q", 2, 32003]))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_size_changes_no_sweep(self, A, top, field):
+        want = regularity._sweep(GeneratorSet(A.d, A.points), top, field)
+        for n in SMALL_BATCHES:
+            B = GeneratorSet(A.d, A.points)
+            with batch_rows(n), sweep_batches() as batches:
+                assert regularity._sweep(B, top, field) == want, (A, n)
+            # the batches cover the levels in order; each takes levels
+            # while its rows stay at most max(rows of its first level, n)
+            assert [s for b in batches for s in b] == list(range(top + 1))
+            for b in batches:
+                bound = max(level_rows(B, b[0]), n)
+                assert sum(level_rows(B, s) for s in b) <= bound
+                if b[-1] < top:
+                    assert sum(level_rows(B, s)
+                               for s in range(b[0], b[-1] + 2)) > bound
+        assert want == full_sweep(GeneratorSet(A.d, A.points), top, field)
+        if field != "q":
+            assert want == oracle_witness(A, top, field), A
+
+    def test_a_small_instance_tables_in_one_call(self):
+        A = veronese(3, 3)
+        with sweep_batches() as batches:
+            rr = reg(A)
+        assert batches == [range(rr.cutoff_norm // A.D + 1)]

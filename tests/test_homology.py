@@ -10,11 +10,11 @@ from toricreg import (CertificationError, PreconditionError,
                       ResourceLimitError, betti_numbers, families,
                       homogenize, homology, naive_member, oracle, reg)
 from toricreg.homology import (HOMOLOGY_CACHE_SIZE, face_tables_for_level,
-                               min_nonzero_degree)
+                               min_nonzero_degree, table_key_fits)
 from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
-                       level_gaps, members)
+                       level_tables, members)
 
 
 def masks(*vertex_tuples):
@@ -252,8 +252,7 @@ class TestFaceComplexes:
 
     def test_face_tables_match_naive_faces(self, quartic):
         for s in range(4):
-            pts, tables = face_tables_for_level(
-                quartic, s, quartic.level(s).points, level_gaps(quartic))
+            pts, tables = level_tables(quartic, s, quartic.level(s).points)
             assert members(quartic.level(s)) <= set(map(tuple, pts.tolist()))
             for row, t in zip(pts.tolist(), tables.tolist()):
                 assert t == naive_table(quartic, s, row)
@@ -262,21 +261,36 @@ class TestFaceComplexes:
         # (1, 1) is the quartic's hole: in slice(2), not in 2A, so its
         # table is 0; (4, 4) lies in slice(2), not in slice(1), (-1, 3)
         # in no slice and (1, 2) has a norm that e = 2 does not divide
-        pts, tables = face_tables_for_level(
-            quartic, 2, np.array([[0, 0], [1, 1]]), level_gaps(quartic))
+        pts, tables = level_tables(quartic, 2, [[0, 0], [1, 1]])
         assert dict(zip(map(tuple, pts.tolist()), tables.tolist()))[
             (1, 1)] == 0
         for s, row in ((1, [4, 4]), (2, [-1, 3]), (2, [1, 2])):
             with pytest.raises(PreconditionError, match="not in the level"):
-                face_tables_for_level(quartic, s, np.array([[0, 0], row]),
-                                      level_gaps(quartic))
+                level_tables(quartic, s, [[0, 0], row])
 
     def test_face_tables_refuse_rows_without_an_int64_key(self):
-        # the key has radix s*D + 1 = 2**13 + 1 in each of 5 coordinates
+        # one level: the key has radix s*D + 1 = 2**13 + 1 in each of 5
+        # coordinates
         A = families.veronese(5, 2)
+        s = 2**12
         with pytest.raises(ResourceLimitError, match="int64 key"):
-            face_tables_for_level(A, 2**12, np.zeros((1, 5), dtype=np.int64),
+            face_tables_for_level(A, range(s, s + 1),
+                                  np.array([[s * A.D, 0, 0, 0, 0, 0]]),
                                   lambda t: np.zeros((0, 5), dtype=np.int64))
+
+    def test_a_batch_key_needs_room_for_each_level(self):
+        # one level keeps the single-level bound (s*D + 1)**d; radix 6207
+        # is the largest odd one with a 5-coordinate key, and two levels
+        # need twice the room
+        A = families.veronese(5, 2)
+        limit = np.iinfo(np.int64).max
+        for s in (3102, 3103, 3104, 2**12):
+            assert table_key_fits(A, range(s, s + 1)) == (
+                (s * A.D + 1) ** 5 <= limit)
+        assert table_key_fits(A, range(3103, 3104))
+        assert not table_key_fits(A, range(3103, 3105))
+        assert not table_key_fits(A, range(3102, 3104))
+        assert table_key_fits(A, range(0, 100))
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from(["2", "D"]), st.integers(0, 3),
@@ -288,8 +302,7 @@ class TestFaceComplexes:
                                                  seed):
         # e = D puts the singular vertex's weight on the homogenizing bit
         A = family_instance(family, d, D, D if e == "D" else 2, seed)
-        pts, tables = face_tables_for_level(A, s, A.level(s).points,
-                                            level_gaps(A))
+        pts, tables = level_tables(A, s, A.level(s).points)
         rng = random.Random(seed)
         for r in rng.sample(range(len(pts)), min(len(pts), 4)):
             assert int(tables[r]) == naive_table(A, s, pts[r].tolist()), A
@@ -301,8 +314,7 @@ class TestFaceComplexes:
         # one where the gaps become final: a member reads the faces of
         # its T_y, a gap reads 0, and no gap shift leaves the slice
         rows = sorted(naive_slice_points(A.d, s * A.D, A.e))
-        pts, tables = face_tables_for_level(A, s, np.array(rows),
-                                            level_gaps(A))
+        pts, tables = level_tables(A, s, rows)
         assert pts.tolist() == [list(p) for p in rows]
         with cached_naive_member():
             for row, t in zip(rows, tables.tolist()):

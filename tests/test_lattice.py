@@ -101,6 +101,24 @@ class TestSimplexSlice:
                                             min_size=1, max_size=20)))
         assert np.array_equal(sl.rank_array(sl.unrank(ranks)), ranks)
 
+    @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 3),
+           st.sampled_from(["1", "2", "D"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_matches_a_cumsum_reference(self, d, D, s, e, data):
+        # the prefix-sum formula of rank_array with its sums taken by
+        # np.cumsum along the rows; the caller's points stay as they were
+        sl = SimplexSlice(d, D, s, D if e == "D" else int(e))
+        pts = sl.unrank(np.array(data.draw(st.lists(
+            st.integers(0, sl.size - 1), max_size=30)), dtype=np.int64))
+        prefix = np.cumsum(pts, axis=1)
+        want = sl._last[prefix[:, -1]] - sum(
+            sl._below[c][prefix[:, c]] for c in range(d - 1))
+        before = pts.copy()
+        assert np.array_equal(sl.rank_array(pts), want)
+        assert np.array_equal(pts, before)
+        if len(pts):
+            assert np.array_equal(sl.rank_array(pts.tolist()), want)
+
 
 class TestGeneratorSet:
     def test_validation(self):

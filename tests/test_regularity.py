@@ -17,15 +17,13 @@ from toricreg import (CertificationError, GeneratorSet, InvalidInstanceError,
                       sizeA_bound)
 from toricreg.classify import OTHER
 from toricreg.cli import analysis_bundle
-from toricreg.homology import face_tables_for_level, min_nonzero_degree
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
 from toricreg.linalg import bareiss_det, gcd_of_maximal_minors
-from toricreg.oracle import homology_recheck, naive_faces
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
-                       level_gaps)
+                       full_sweep, level_tables, oracle_witness)
 
 
 def minors_gcd(A):
@@ -34,23 +32,6 @@ def minors_gcd(A):
     for cols in itertools.combinations(homogenize(A), A.d + 1):
         g = gcd(g, bareiss_det(cols))
     return g
-
-
-def full_sweep(A, max_level, field):
-    """``regularity._sweep`` as it was before it chose its rows: every
-    point of every level 0..max_level gets a face table."""
-    A.level(max_level)
-    found = []  # (-value, y, i)
-    for s in range(max_level + 1):
-        pts, tables = face_tables_for_level(A, s, A.level(s).points,
-                                            level_gaps(A))
-        for t in np.unique(tables):
-            i = min_nonzero_degree(int(t), A.d + 1, field)
-            if i is not None:
-                p = min(map(tuple, pts[tables == t].tolist()))
-                found.append((i + 1 - s, (s * A.D - sum(p),) + p, i))
-    neg, y, i = min(found)
-    return -neg, y, i
 
 
 def stable_level(A):
@@ -70,29 +51,6 @@ ACCEPTANCE_CELLS = ([("minimal_smooth", d, D, 1) for d in (1, 2, 3)
                      for D in (3, 4, 5)]
                     + [("one_singular", d, D, e) for d in (2, 3)
                        for D in (4, 6) for e in (2, D)])
-
-
-def oracle_witness(A, levels, p=32003):
-    """(reg, witness_y, witness_i) over levels 0..levels by the rule of
-    docs/formats.md, from the oracles alone: in each level, the least
-    dehomogenized member with a given face family stands for that family,
-    and among the families with homology over F_p the largest s - (i + 1)
-    wins, ties going to the least homogenized y."""
-    gens = homogenize(A)
-    found = []
-    for s in range(levels + 1):
-        least = {}  # face family -> its least member, by dehomogenized part
-        for y in sorted(oracle.naive_sumset(gens, s), key=lambda y: y[1:]):
-            least.setdefault(naive_faces(gens, y), y)
-        for faces, y in least.items():
-            betti = homology_recheck(
-                [[j for j in range(A.d + 1) if f >> j & 1] for f in faces],
-                p)
-            i = min((i for i, b in betti.items() if b), default=None)
-            if i is not None:
-                found.append((i + 1 - s, y, i))
-    neg, y, i = min(found)
-    return -neg, y, i
 
 
 class TestDegree:
@@ -302,10 +260,8 @@ class TestCandidateRows:
         # row that is no gap shift has the full simplex on J = {j : y_j
         # >= D} as T_y, and J is empty only for a box row
         d, D = A.d, A.D
-        pts, tables = face_tables_for_level(A, level, A.level(level).points,
-                                            level_gaps(A))
-        shifts, _ = face_tables_for_level(
-            A, level, np.zeros((0, d), dtype=np.int64), level_gaps(A))
+        pts, tables = level_tables(A, level, A.level(level).points)
+        shifts, _ = level_tables(A, level, np.zeros((0, d), dtype=np.int64))
         shifts = set(map(tuple, shifts.tolist()))
         assert shifts <= set(map(tuple, pts.tolist()))
         for row, t in zip(pts.tolist(), tables.tolist()):
