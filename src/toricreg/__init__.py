@@ -1,6 +1,13 @@
 """Exact sumset and regularity computations for simplicial projective
 toric varieties defined by finite generator sets A in N^d."""
 
+import os
+
+# The package does no float linear algebra, so an OpenBLAS thread pool,
+# started when numpy is first imported, would only spin.  An explicit
+# setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
                        classify, is_chart_smooth, reduce_e_equals_D)
 from .errors import (CertificationError, InvalidInstanceError,

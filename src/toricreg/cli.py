@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import time
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -168,19 +167,33 @@ def _corpus_row(path: Path, field, cutoff: Optional[int],
             eg["bound"] - eg["reg"], rg - sg if sg != "" else ""]
 
 
+def _corpus_rows(paths: list[Path], field, cutoff: Optional[int],
+                 max_slice: int) -> list:
+    """The CSV rows of the files in order, up to the first that fails,
+    whose exception then takes its row's place and ends the list."""
+    rows = []
+    for path in paths:
+        try:
+            rows.append(_corpus_row(path, field, cutoff, max_slice))
+        except Exception as exc:
+            rows.append(exc)
+            break
+    return rows
+
+
 def run_corpus(directory: str, field, cutoff: Optional[int],
                max_slice: int, threads: Optional[int] = None) -> str:
     """The corpus CSV, rows in sorted-filename order.  Files are analyzed
-    in min(threads, cpu count, file count) forked worker processes, or in
-    this process when that is at most 1; the CSV, and the first failing
-    file in sorted order, are the same either way."""
+    in W = min(threads, cpu count, file count) forked worker processes,
+    worker k taking the files k, k + W, ... in sorted order as one task,
+    or in this process when W is 1; the CSV, and the first failing file
+    in sorted order, are the same either way."""
     if not Path(directory).is_dir():
         raise NotADirectoryError(f"corpus {directory!r} is not a directory")
     paths = sorted(Path(directory).glob("*.json"))
-    args = (paths, repeat(field), repeat(cutoff), repeat(max_slice))
-    workers = min(threads or 1, os.cpu_count() or 1, len(paths))
-    if workers <= 1:
-        rows = list(map(_corpus_row, *args))
+    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(paths)))
+    if workers == 1:
+        shares = [_corpus_rows(paths, field, cutoff, max_slice)]
     else:
         # imported here: a command that never forks pays no import for it
         import multiprocessing
@@ -191,15 +204,27 @@ def run_corpus(directory: str, field, cutoff: Optional[int],
         # version: workers inherit the imported numpy and package, where
         # spawn would import them again in each.  All workers are forked
         # at the first submit, before the pool starts its manager thread.
-        # Chunks of one file balance a per-file cost that varies tenfold.
+        # One task per worker saves a round trip per file; the strided
+        # shares balance a per-file cost that varies tenfold.
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            rows = list(pool.map(_corpus_row, *args))
+            tasks = [pool.submit(_corpus_rows, paths[k::workers], field,
+                                 cutoff, max_slice) for k in range(workers)]
+            shares = [task.result() for task in tasks]
         except BrokenProcessPool as exc:
             raise ResourceLimitError(f"a corpus worker died: {exc}") from exc
         finally:
             pool.shutdown(cancel_futures=True)
+    # row i is entry i // W of share i % W; a share ends at its first
+    # failure, so every row before the first failure in sorted order is
+    # there
+    rows = []
+    for i in range(len(paths)):
+        row = shares[i % workers][i // workers]
+        if isinstance(row, Exception):
+            raise row
+        rows.append(row)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["file", "d", "D", "e", "verdict", "sigma", "reg",

@@ -6,10 +6,12 @@ divisible by ``e``), ranked by norm first and colexicographically inside a
 norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
 rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
 engine: its one record holds, for each rank, the first level s with the
-point in sA, and one slice, its top built level's, ranks every level; once
-the gaps are final, no level above it is built.  ``SumsetLevel`` objects
-are views of that record that read every slice size from the closed form
-and unrank their points through a capped slice(s) of their own.
+point in sA, and one rank table, a slice at or above its top built level,
+ranks every level it holds; once the gaps are final, no level above the
+top is built, and the final gaps are unranked once.  ``SumsetLevel``
+objects are views of that record that read a slice size off the table
+(the closed form above it) and unrank their points through the table, or
+a capped slice(s) of their own above it.
 
 The level build ranks the shifts of the new points by every generator.
 It stacks the copies into one array per batch, so numpy is called once
@@ -97,6 +99,7 @@ class SimplexSlice:
         if d < 1 or D < 1 or s < 0 or e < 1:
             raise PreconditionError(f"bad slice parameters d={d} D={D} s={s} e={e}")
         self.d = d
+        self.D = D
         self.s = s
         self.e = e
         self.N = s * D
@@ -116,6 +119,11 @@ class SimplexSlice:
         layer[np.arange(N + 1) % self.e > 0] = 0
         # _last[n] = rank of the last slice point of norm <= n
         self._last = np.cumsum(layer) - 1
+
+    def level_size(self, s: int) -> int:
+        """|slice(s)| for s <= self.s, read off the rank table: slice(s)
+        is the prefix up to the last point of norm s*D."""
+        return int(self._last[s * self.D]) + 1
 
     def rank_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized rank of an (n, d) array of slice points.
@@ -169,28 +177,41 @@ class SumsetLevel:
 
     @property
     def size(self) -> int:
-        """|slice(s)|, from the closed form."""
-        return slice_size(self._A.d, self.s * self._A.D, self._A.e)
+        """|slice(s)|, off the set's rank table, or from the closed form
+        above it."""
+        A = self._A
+        if self.s <= A._slice.s:
+            return A._slice.level_size(self.s)
+        return slice_size(A.d, self.s * A.D, A.e)
 
     @property
     def cardinality(self) -> int:
-        """|sA|, the slice size minus the gaps."""
-        return self.size - int(
-            np.count_nonzero(self._A._first[:self.size] > self.s))
+        """|sA|, the slice size minus the gaps, counted, not unranked."""
+        size = self.size
+        return size - int(np.count_nonzero(self._A._first[:size] > self.s))
 
     def gaps(self) -> np.ndarray:
         """(size - cardinality, d) array of slice(s) \\ sA, in rank order,
-        so by norm first."""
-        return self._A._top.unrank(
-            np.flatnonzero(self._A._first[:self.size] > self.s))
+        so by norm first.  At or above the stable level it is the set's
+        one read-only array of final gaps."""
+        A = self._A
+        if A._stable and self.s >= A._built:
+            if A._final_gaps is None:
+                A._final_gaps = A._slice.unrank(
+                    np.flatnonzero(A._first == _UNSEEN))
+                A._final_gaps.flags.writeable = False
+            return A._final_gaps
+        return A._slice.unrank(np.flatnonzero(A._first[:self.size] > self.s))
 
     @property
     def points(self) -> np.ndarray:
-        """(cardinality, d) array of sA, in rank order, from slice(s)."""
+        """(cardinality, d) array of sA, in rank order, unranked through
+        the set's table, or through a capped slice(s) above it."""
         A = self._A
-        sl = SimplexSlice(A.d, A.D, self.s, A.e, A.max_slice_size)
-        member = np.ones(sl.size, dtype=bool)
-        member[:len(A._first)] = A._first[:sl.size] <= self.s
+        sl = A._slice if self.s <= A._slice.s else SimplexSlice(
+            A.d, A.D, self.s, A.e, A.max_slice_size)
+        member = np.ones(self.size, dtype=bool)
+        member[:len(A._first)] = A._first[:len(member)] <= self.s
         return sl.unrank(np.flatnonzero(member))
 
 
@@ -200,12 +221,16 @@ class GeneratorSet:
 
     D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).
     Sumset levels are built on demand into one record: ``_first[r]`` is
-    the first level holding the point of rank r.  The set keeps one
-    ``SimplexSlice``, ``_top``, of its top built level: every slice below
-    is a prefix of it with the same ranks, so ``_top.unrank`` gives the
-    gaps of any level and the frontier of the next build.  ``level``
-    returns a fresh view, so no level refers back to a set that holds it
-    and a dropped set is freed at once.
+    the first level holding the point of rank r, for every rank of
+    slice(_built), the top built level.  The set keeps one
+    ``SimplexSlice``, ``_slice``, as its rank table: every slice up to
+    its level is a prefix of it with the same ranks, so it ranks every
+    build, unranks the gaps of any level and gives |slice(s)| as a table
+    read.  A build above the table's level makes a new one that holds
+    twice the levels built, or the highest level below that the cap
+    allows, so a set makes O(log) tables however many levels it builds.
+    ``level`` returns a fresh view, so no level refers back to a set that
+    holds it and a dropped set is freed at once.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],
@@ -242,9 +267,11 @@ class GeneratorSet:
                     f"generator set must contain {self.D}*e_{i + 1}")
         self.e = gcd(self.D, *(sum(p) for p in self.points if sum(p)))
         self.max_slice_size = max_slice_size
-        self._top: SimplexSlice | None = None
+        self._slice: SimplexSlice | None = None
+        self._built = -1  # no level built
         self._first = np.zeros(0, dtype=np.int32)
         self._stable = False
+        self._final_gaps: np.ndarray | None = None  # unranked on first read
         # the nonzero generators as an array, made by the first build
         # above level 0 (families make many sets they never build)
         self._gens: np.ndarray | None = None
@@ -254,11 +281,11 @@ class GeneratorSet:
     def level(self, s: int) -> SumsetLevel:
         if s < 0:
             raise PreconditionError("level must be >= 0")
-        if self._stable or (self._top is not None and s <= self._top.s):
+        if self._stable or s <= self._built:
             return SumsetLevel(self, s)  # built, or read from final gaps
         # slices grow with s, so this covers every level built below
         capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
-        while not self._stable and (self._top is None or self._top.s < s):
+        while not self._stable and self._built < s:
             self._next_level()
         return SumsetLevel(self, s)
 
@@ -266,7 +293,19 @@ class GeneratorSet:
     def stable_level(self) -> int | None:
         """The level where the gaps became final (see ``_next_level``),
         or None while no level built proves them final."""
-        return self._top.s if self._stable else None
+        return self._built if self._stable else None
+
+    def _rank_table(self, s: int) -> SimplexSlice:
+        """The rank table that a build of level s past the current one
+        makes: slice(2s + 2), so it holds twice the levels built, or the
+        highest slice below it that the cap allows, down to slice(s)."""
+        for t in range(2 * s + 2, s, -1):
+            try:
+                return SimplexSlice(self.d, self.D, t, self.e,
+                                    self.max_slice_size)
+            except ResourceLimitError:
+                pass
+        return SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
@@ -288,15 +327,17 @@ class GeneratorSet:
           x, in slice(s-1), would be no gap of level s, so of level s - 1,
           and lie in (s-1)A.  That puts g in sA, a contradiction.
         """
-        s = 0 if self._top is None else self._top.s + 1
-        sl = SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
+        s = self._built + 1
+        if self._slice is None or s > self._slice.s:
+            self._slice = self._rank_table(s)
+        sl = self._slice
         old = len(self._first)  # |slice(s-1)|, 0 at s = 0
-        first = np.full(sl.size, _UNSEEN, dtype=np.int32)
+        first = np.full(sl.level_size(s), _UNSEEN, dtype=np.int32)
         first[:old] = self._first
         if s == 0:
             first[0] = 0  # the origin
         else:
-            frontier = self._top.unrank(np.flatnonzero(self._first == s - 1))
+            frontier = sl.unrank(np.flatnonzero(self._first == s - 1))
             if self._gens is None:  # self.points has the origin first
                 self._gens = np.array(self.points[1:], dtype=np.int64)
             gens = self._gens
@@ -309,7 +350,7 @@ class GeneratorSet:
                             and (first[old:] != _UNSEEN).all()
                             and not (first[:old] == s).any())
         self._first = first
-        self._top = sl
+        self._built = s
         return SumsetLevel(self, s)
 
     def __repr__(self) -> str:
@@ -352,5 +393,5 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
     if s < 0:
         return False
     hi = SimplexSlice(d, D, s + 1, e, max_slice_size)
-    shell = hi.unrank(np.arange(slice_size(d, s * D, e), hi.size))
+    shell = hi.unrank(np.arange(hi.level_size(s), hi.size))
     return bool((shell >= D).any(axis=1).all())

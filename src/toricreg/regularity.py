@@ -82,18 +82,50 @@ def degree(A: GeneratorSet,
     return DegreeResult(theta, deg, codim)
 
 
+def _least_box_row(A: GeneratorSet, s: int,
+                   gaps: np.ndarray) -> Optional[Point]:
+    """The lexicographically least y of sA whose homogenized coordinates
+    are all <= D - 1, or None.  Such a y has every y_j <= D - 1, norm in
+    ((s-1)*D, s*D] and e | |y|, and is no gap of level s: the candidates
+    are taken in lexicographic order, so at most one per gap is read."""
+    d, D, e, lo, hi = A.d, A.D, A.e, (s - 1) * A.D, s * A.D
+    box_gaps = gaps[(gaps < D).all(axis=1) & (gaps.sum(axis=1) > lo)]
+    skip = set(map(tuple, box_gaps.tolist()))
+
+    def completes(k, p):
+        """Whether k more coordinates in [0, D) take the norm p into
+        (lo, hi] and onto a multiple of e."""
+        n = max(lo + 1 - p, 0)
+        return n + (-(p + n)) % e <= min(hi - p, k * (D - 1))
+
+    def candidates(prefix, p):
+        k = d - len(prefix)
+        if not k:
+            yield prefix
+            return
+        for c in range(min(D, hi - p + 1)):
+            if completes(k - 1, p + c):
+                yield from candidates(prefix + (c,), p + c)
+
+    if not completes(d, 0):
+        return None
+    return next((y for y in candidates((), 0) if y not in skip), None)
+
+
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
     0..max_level.  Each level and face table offers its least point,
     and the least homogenized y wins among those of the largest value.
     Level 0 always offers the empty complex.
 
-    Only the gap shifts and, in the low levels, the box rows, with every
+    Only the gap shifts and, in the low levels, a box row, with every
     homogenized y_j <= D - 1, get a table: any other row of sA has the
     full simplex on its nonempty {j : y_j >= D} as T_y (see
     ``face_tables_for_level``), so no least point with homology is lost.
-    A set that ``sigma`` left stable builds no more levels: it reads
-    them all.
+    A box row of sA is no gap shift either, so its T_y is the empty
+    complex: only the least one of each level is tabled, read off the
+    gaps with no level unranked (see ``_least_box_row``).  A set that
+    ``sigma`` left stable builds no more levels: it reads them all.
 
     Consecutive levels are tabled in batches, one call each.  Level s
     has sum over t of |gaps(t)| * C(d+1, s-t) shift rows plus its box
@@ -121,9 +153,9 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
         if s * D > (d + 1) * (D - 1):
             return empty
         if s not in boxes:
-            pts = A.level(s).points
-            pts = pts[(pts < D).all(axis=1) & (pts.sum(axis=1) > s * D - D)]
-            boxes[s] = np.column_stack((s * D - pts.sum(axis=1), pts))
+            y = _least_box_row(A, s, gaps(s))
+            boxes[s] = empty if y is None else np.array(
+                [(s * D - sum(y),) + y], dtype=np.int64)
         return boxes[s]
 
     def level_rows(s, room):

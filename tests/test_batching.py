@@ -50,14 +50,13 @@ def sweep_batches():
 
 def level_rows(A, s):
     """The rows the sweep builds for level s: every gap shift and, in the
-    low levels, the box rows."""
+    low levels, the least box row, if the level has one."""
     d, D = A.d, A.D
     n = sum(len(A.level(t).gaps()) * comb(d + 1, s - t)
             for t in range(max(0, s - d - 1), s + 1))
     if s * D <= (d + 1) * (D - 1):
         y = A.level(s).points
-        n += int(np.count_nonzero((y < D).all(axis=1)
-                                  & (y.sum(axis=1) > s * D - D)))
+        n += int(((y < D).all(axis=1) & (y.sum(axis=1) > s * D - D)).any())
     return n
 
 
@@ -68,9 +67,10 @@ class TestSmallBatches:
     def test_first_record_matches_naive_sumsets(self, A, top, batch):
         with batch_rows(batch):
             A.level(top)
-        top = A._top.s  # a set whose gaps became final stops early
-        expected = np.full(A._top.size, _UNSEEN, dtype=np.int32)
-        pts = A._top.unrank(np.arange(A._top.size)).tolist()
+        top = A._built  # a set whose gaps became final stops early
+        size = A.level(top).size
+        expected = np.full(size, _UNSEEN, dtype=np.int32)
+        pts = A._slice.unrank(np.arange(size)).tolist()
         for s in range(top, -1, -1):
             level = naive_sumset(A.points, s)
             expected[[tuple(p) in level for p in pts]] = s
@@ -107,8 +107,7 @@ def wrap_level_build(monkeypatch):
 
     @functools.wraps(build)
     def wrapper(A):
-        stack.append([0 if A._top is None else int(np.count_nonzero(
-            A._first == A._top.s)), 0])
+        stack.append([int(np.count_nonzero(A._first == A._built)), 0])
         try:
             return build(A)
         finally:

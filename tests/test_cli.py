@@ -176,7 +176,7 @@ class TestExitCodes:
             assert "at most 6 vertices" in err
         with pytest.raises(PreconditionError, match="at most 6 vertices"):
             analysis_bundle(A, "q", None)
-        assert A._top is None
+        assert A._built == -1
 
     def test_sigma_above_the_closed_form_bound(self, capsys, tmp_path):
         # e = D = 3: the closed form s0 = 0 is below the step threshold 1
@@ -362,6 +362,24 @@ class TestCorpus:
             assert code == 0
             assert out == (GOLDEN / "corpus.csv").read_text()
             assert multiprocessing.active_children() == []
+
+    def test_one_task_per_worker(self, capsys, monkeypatch, tmp_path,
+                                 two_cpus):
+        # each worker takes its strided share of the files as one task
+        from concurrent.futures import ProcessPoolExecutor
+        tasks = []
+        submit = ProcessPoolExecutor.submit
+
+        def counted(pool, fn, *args, **kwargs):
+            tasks.append(len(args[0]))
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+        directory = _golden_corpus(tmp_path)
+        code, out, _ = run(capsys, "corpus", directory, "--threads", "2")
+        assert code == 0
+        assert out == (GOLDEN / "corpus.csv").read_text()
+        assert tasks == [2, 1]  # files 0 and 2, then file 1
 
     def test_other_row_left_blank(self, capsys, tmp_path):
         (tmp_path / "other.json").write_text(

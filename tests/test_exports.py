@@ -1,9 +1,15 @@
 """Every exported name must resolve, so a deleted function cannot leave a
 dangling entry in ``toricreg.__all__``, and every imported name must be
-used, so a deleted use cannot leave a dead import behind."""
+used, so a deleted use cannot leave a dead import behind.  Importing
+the package also caps OpenBLAS at one thread unless told otherwise."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import toricreg
 
@@ -19,6 +25,22 @@ def test_star_import():
     namespace = {}
     exec("from toricreg import *", namespace)
     assert set(toricreg.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
+def test_import_limits_openblas_threads(given, expected):
+    # the package does no float linear algebra: an OpenBLAS thread pool
+    # is one thread by default, and an explicit setting is kept
+    env = dict(os.environ, PYTHONPATH=str(Path(toricreg.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, toricreg; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, check=True,
+        timeout=60).stdout
+    assert out == expected + "\n"
 
 
 def unused_imports(source: str) -> set[str]:

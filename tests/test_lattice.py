@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 import weakref
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, PreconditionError,
                       ResourceLimitError, hilbert_function, homogenize,
-                      naive_member, naive_sumset, sigma, step_equality_holds,
-                      step_threshold)
+                      lattice, naive_member, naive_sumset, sigma,
+                      step_equality_holds, step_threshold)
 from toricreg.families import minimal_smooth, veronese
 from toricreg.lattice import _UNSEEN, SimplexSlice, slice_size, unit
 from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
@@ -92,6 +93,19 @@ class TestSimplexSlice:
         assert slice_size(d, N, e) == sum(
             comb(m + d - 1, d - 1) for m in range(0, N + 1, e))
 
+    @given(st.integers(1, 5), st.integers(2, 8), st.integers(0, 8),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_reads_every_level_size(self, d, D, top, data):
+        # slice(s) is the prefix of the table up to norm s*D, so its size
+        # is a table read at every level up to the table's
+        e = data.draw(st.sampled_from(
+            [e for e in range(1, D + 1) if D % e == 0]))
+        sl = SimplexSlice(d, D, top, e)
+        assert [sl.level_size(s) for s in range(top + 1)] == [
+            slice_size(d, s * D, e) for s in range(top + 1)]
+        assert sl.level_size(top) == sl.size
+
     @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 3),
            st.sampled_from(["1", "2", "D"]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -144,10 +158,10 @@ class TestGeneratorSet:
 
     def test_construction_is_lazy(self, quartic):
         A = GeneratorSet(quartic.d, quartic.points)
-        assert A._top is None and not A._first.size
+        assert A._built == -1 and not A._first.size
         A.level(2)
-        assert A._top.s == 2
-        assert len(A._first) == A._top.size == A.level(2).size
+        assert A._built == 2
+        assert len(A._first) == A._slice.level_size(2) == A.level(2).size
         seen = A._first[A._first != _UNSEEN]
         assert np.bincount(seen).tolist() == [1, 6, 17]  # per-level counts
 
@@ -165,9 +179,9 @@ class TestGeneratorSet:
             A.level(s)
             assert A.stable_level is None, s
         A.level(stable)
-        assert A.stable_level == A._top.s == stable
+        assert A.stable_level == A._built == stable
         A.level(stable + 40)
-        assert A.stable_level == A._top.s == stable
+        assert A.stable_level == A._built == stable
 
     def test_levels_keep_one_rank_table(self):
         # slice(s) is a prefix of slice(s+1) with the same ranks, so the
@@ -181,7 +195,44 @@ class TestGeneratorSet:
         finally:
             tracemalloc.stop()
         assert held < 10 * 2**20
-        assert A._top.s == 150
+        assert A._built == 150
+
+    def test_a_set_makes_log_many_rank_tables(self, monkeypatch):
+        # a table past the built levels is made only when a build
+        # outgrows it, and then holds twice the levels built, so n built
+        # levels take at most ceil(log2 n) + 1 tables
+        made = []
+
+        class Counted(SimplexSlice):
+            def __init__(self, d, D, s, *args):
+                made.append(s)
+                super().__init__(d, D, s, *args)
+
+        monkeypatch.setattr(lattice, "SimplexSlice", Counted)
+        A = minimal_smooth(3, 6)
+        A.level(30)
+        n = A._built + 1
+        assert A.stable_level == A._built == 13
+        assert len(made) <= math.ceil(math.log2(n)) + 1
+        assert all(b >= 2 * a for a, b in zip(made, made[1:]))
+        assert [A.level(s).size for s in range(n)] == [
+            slice_size(3, 6 * s) for s in range(n)]
+
+    def test_final_gaps_are_unranked_once(self, quartic, monkeypatch):
+        # every level from the stable one up reads one read-only array
+        calls = []
+        unrank = SimplexSlice.unrank
+        monkeypatch.setattr(SimplexSlice, "unrank", lambda sl, r: (
+            calls.append(len(r)), unrank(sl, r))[1])
+        A = GeneratorSet(quartic.d, quartic.points)
+        A.level(5)
+        stop = A.stable_level
+        calls.clear()
+        gaps = [A.level(s).gaps() for s in (stop, stop + 1, 5, 1000)]
+        assert calls == [1]
+        assert all(g is gaps[0] for g in gaps)
+        assert not gaps[0].flags.writeable
+        assert gaps[0].tolist() == [[1, 1]]
 
     def test_level_build_is_bounded_by_its_slice(self):
         # the frontier's shifts are ranked in batches of max(|F|,
@@ -231,7 +282,7 @@ class TestGeneratorSet:
             A.level(40)
         with pytest.raises(ResourceLimitError, match="s=40 "):
             hilbert_function(A, 40)
-        assert A._top is None
+        assert A._built == -1
 
     def test_size_cap_bounds_the_rank_tables(self):
         # d = 1, e = D: slice(1) holds the 2 points 0 and D, but its rank
@@ -239,7 +290,7 @@ class TestGeneratorSet:
         A = GeneratorSet(1, [(0,), (1000,)], max_slice_size=100)
         with pytest.raises(ResourceLimitError, match=r"s=1 .*\(cap 100\)"):
             A.level(1)
-        assert A._top is None
+        assert A._built == -1
         assert A.level(0).cardinality == 1
 
     def test_random_sets_match_naive(self):
@@ -302,7 +353,7 @@ class TestGeneratorSet:
         # level built and no slice cap, except where points are listed
         A = GeneratorSet(quartic.d, quartic.points, max_slice_size=150)
         holes = sigma(A).holes
-        assert A._stable and A._top.s == 3
+        assert A._stable and A._built == 3
         listed = members(A.level(5))  # unranked through a fresh slice(5)
 
         def build(self):

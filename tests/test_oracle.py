@@ -28,7 +28,7 @@ def package_imports(source: str) -> set[str]:
 
 
 #: The slice-rank machinery of ``lattice``, which no other module may use.
-RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_first", "_top",
+RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_first", "_slice",
               "_UNSEEN", "_stable"}
 
 
@@ -72,7 +72,7 @@ class TestRanksStayInLattice:
             ".slice(", "unrank"}
         assert rank_uses("from .lattice import _UNSEEN, SimplexSlice") == {
             "_UNSEEN", "SimplexSlice"}
-        assert rank_uses('"""unrank through A._top"""\nx = lvl.gaps()') \
+        assert rank_uses('"""unrank through A._slice"""\nx = lvl.gaps()') \
             == set()
 
     def test_private_name_checker(self):

@@ -179,7 +179,7 @@ class TestReg:
         A = veronese(6, 2)
         with pytest.raises(PreconditionError, match="at most 6 vertices"):
             reg(A)
-        assert A._top is None
+        assert A._built == -1
 
     def test_cutoff_safety(self, quartic):
         # two levels past the certified cutoff find nothing new
@@ -202,6 +202,21 @@ class TestReg:
                                              rank(sl, pts))[1])
         reg(A, report, sr)
         assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        families.quartic_singular_surface, lambda: minimal_smooth(4, 4),
+        lambda: one_singular_random(3, 6, 2, random.Random(3062))])
+    def test_reg_after_sigma_lists_no_level(self, make, monkeypatch):
+        # the box rows are read off the gaps, not off a level's points
+        A = make()
+        report = classify(A)
+        sr = sigma(A, report)
+
+        def listed(level):
+            raise AssertionError(f"level {level.s} listed")
+
+        monkeypatch.setattr(lattice.SumsetLevel, "points", property(listed))
+        assert reg(A, report, sr).reg in (sr.sigma, sr.sigma + 1)
 
     @given(st.one_of(
         st.builds(family_instance, st.sampled_from(FAMILIES),
@@ -243,7 +258,7 @@ class TestCandidateRows:
         got = regularity._sweep(B, cutoff, field)
         rr = reg(B, report, sr, field=field)
         # nothing above the level where the gaps become final was built
-        assert B._top.s == stable_level(B)
+        assert B._built == stable_level(B)
         plain = regularity._sweep(GeneratorSet(B.d, B.points), cutoff, field)
         assert got == plain == full_sweep(B, cutoff, field), (A, field)
         assert (rr.reg, rr.witness_y, rr.witness_i) == full_sweep(
@@ -287,14 +302,14 @@ class TestCandidateRows:
         report = classify(A)
         assert report.instance is A
         sr = sigma(A, report)
-        assert A._top.s == top
+        assert A._built == top
         rr = reg(A, report, sr)
-        assert A._top.s == top
+        assert A._built == top
         regularity._sweep(A, rr.cutoff_norm // A.D + 2, "q")
-        assert A._top.s == top
+        assert A._built == top
         A = make()
         analysis_bundle(A, "q", None)
-        assert A._top.s == top
+        assert A._built == top
 
     def test_veronese_5_2(self):
         # its witness is a box row; a sweep table with the 6-vertex face

@@ -117,7 +117,7 @@ class TestSigma:
         A = one_singular_random(3, 6, 2, random.Random(3062))
         assert classify(A).singular_vertex == 0  # sigma works on A itself
         result = sigma(A)
-        top = A._top.s  # the highest level built
+        top = A._built  # the highest level built
         assert top <= result.sigma + 1
         assert result.window_verified == (result.sigma, top)
 
@@ -226,8 +226,7 @@ class TestVertexNormalization:
         next_level = GeneratorSet._next_level
 
         def record(self):
-            built.append((id(self), 0 if self._top is None
-                          else self._top.s + 1))
+            built.append((id(self), self._built + 1))
             return next_level(self)
 
         monkeypatch.setattr(GeneratorSet, "_next_level", record)
