@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def table_key_fits(A: GeneratorSet, levels: range) -> bool:
 
 
 def face_tables_for_level(A: GeneratorSet, levels: range, rows: np.ndarray,
-                          gaps: Callable[[int], np.ndarray]
+                          gaps: Sequence[np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray]:
     """T_y face families of the rows and gap shifts of a range of levels.
 
@@ -112,8 +112,8 @@ def face_tables_for_level(A: GeneratorSet, levels: range, rows: np.ndarray,
     subset F leaves y - D*e_F in slice(s - |F|) iff y_j >= D on F, and
     then in S_A iff that point is no gap of level s - |F|.  So T_y is
     the full simplex on {j : y_j >= D} minus the faces F that land on a
-    gap, at y = g + D*e_F: no membership query is needed.  ``gaps(t)``
-    gives level t's gaps (dehomogenized), and ``levels`` is a range of
+    gap, at y = g + D*e_F: no membership query is needed.  ``gaps[t]``
+    is level t's gaps (dehomogenized), and ``levels`` is a range of
     consecutive levels, all tabled at once.  ``rows`` are homogenized
     points, each in the slice of its level |y| / D.
 
@@ -150,7 +150,7 @@ def face_tables_for_level(A: GeneratorSet, levels: range, rows: np.ndarray,
     keys = [(norms // D - lo) * top + rows[:, 1:] @ w]
     cleared = [np.zeros(len(rows), dtype=np.uint64)]
     for t in range(max(0, lo - d - 1), hi + 1):
-        g = gaps(t)
+        g = gaps[t]
         if not len(g):
             continue
         m = np.flatnonzero((size >= lo - t) & (size <= hi - t))

@@ -28,6 +28,7 @@ coordinates, never a rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb, gcd
 from typing import Iterable, Sequence
@@ -382,13 +383,15 @@ def step_threshold(d: int, D: int, e: int = 1) -> int:
     return -(-num // D)
 
 
+@functools.lru_cache(maxsize=256)
 def step_equality_holds(d: int, D: int, e: int, s: int,
                         max_slice_size: int = DEFAULT_MAX_SLICE_SIZE) -> bool:
     """Whether slice(s) + {0, D*e_1, ..., D*e_d} == slice(s+1).
 
     slice(s) covers itself, so only the shell slice(s+1) \\ slice(s) is
     read: a shell point z has sD < |z| <= (s+1)D and e | |z| - D, so
-    z - D*e_i lies in slice(s) iff z_i >= D.
+    z - D*e_i lies in slice(s) iff z_i >= D.  The answer is cached per
+    arguments, as ``sigma`` asks it of every instance of a (d, D, e).
     """
     if s < 0:
         return False

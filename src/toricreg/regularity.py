@@ -8,7 +8,8 @@ all degrees up to d.  Below it only the rows whose T_y can carry
 homology get a face table, read off the gaps (see ``_sweep``), and no
 level above the one where the gaps become final is built: the generator
 set reads every higher level as its slice minus those gaps.  The sweep
-tables consecutive levels in batches bounded like the level build's
+reads each level's gaps, least box row and row count once, then tables
+consecutive levels in batches bounded like the level build's
 (``lattice.batch_bound``), so a small instance takes one or two calls
 and a level over that bound is tabled on its own.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -82,15 +83,14 @@ def degree(A: GeneratorSet,
     return DegreeResult(theta, deg, codim)
 
 
-def _least_box_row(A: GeneratorSet, s: int,
-                   gaps: np.ndarray) -> Optional[Point]:
+def _least_box_row(A: GeneratorSet, s: int, gaps: np.ndarray) -> np.ndarray:
     """The lexicographically least y of sA whose homogenized coordinates
-    are all <= D - 1, or None.  Such a y has every y_j <= D - 1, norm in
+    are all <= D - 1, as a (1, d+1) homogenized array, or a (0, d+1) one
+    if there is none.  Such a y has every y_j <= D - 1, norm in
     ((s-1)*D, s*D] and e | |y|, and is no gap of level s: the candidates
-    are taken in lexicographic order, so at most one per gap is read."""
+    are taken in lexicographic order, so at most one per gap is read.
+    Above level (d+1)(D-1)/D no y qualifies and no gap is read."""
     d, D, e, lo, hi = A.d, A.D, A.e, (s - 1) * A.D, s * A.D
-    box_gaps = gaps[(gaps < D).all(axis=1) & (gaps.sum(axis=1) > lo)]
-    skip = set(map(tuple, box_gaps.tolist()))
 
     def completes(k, p):
         """Whether k more coordinates in [0, D) take the norm p into
@@ -107,9 +107,13 @@ def _least_box_row(A: GeneratorSet, s: int,
             if completes(k - 1, p + c):
                 yield from candidates(prefix + (c,), p + c)
 
-    if not completes(d, 0):
-        return None
-    return next((y for y in candidates((), 0) if y not in skip), None)
+    y = None
+    if completes(d, 0):
+        box_gaps = gaps[(gaps < D).all(axis=1) & (gaps.sum(axis=1) > lo)]
+        skip = set(map(tuple, box_gaps.tolist()))
+        y = next((y for y in candidates((), 0) if y not in skip), None)
+    return np.array([] if y is None else [(hi - sum(y),) + y],
+                    dtype=np.int64).reshape(-1, d + 1)
 
 
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
@@ -127,63 +131,32 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     gaps with no level unranked (see ``_least_box_row``).  A set that
     ``sigma`` left stable builds no more levels: it reads them all.
 
-    Consecutive levels are tabled in batches, one call each.  Level s
-    has sum over t of |gaps(t)| * C(d+1, s-t) shift rows plus its box
-    rows, known before any is built.  A batch takes levels while its
+    Each level's gaps and least box row are read once, before any table
+    is built.  Level s then has rows[s] = sum over t of |gaps[t]| *
+    C(d+1, s-t) shift rows plus its box row.  Consecutive levels are
+    tabled in batches, one call each: a batch takes levels while its
     rows stay at most ``batch_bound`` of its first level's rows, the
     bound of the level build, and its sort key fits in int64 (see
-    ``table_key_fits``).  So a level over ``lattice._BATCH_ROWS`` rows
-    is a batch of its own and a small instance takes one or two calls.
-    Only the gaps of levels lo - d - 1 up to the batch's last, and the
-    next level's once counted, are held.
+    ``table_key_fits``).  So a level over that bound is a batch of its
+    own and a small instance takes one or two calls.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
-    held = {}  # gaps of the levels the current batch reads
-    boxes = {}  # homogenized box rows of the levels counted, not tabled
-    empty = np.zeros((0, d + 1), dtype=np.int64)
-
-    def gaps(t):
-        if t not in held:
-            held[t] = A.level(t).gaps()
-        return held[t]
-
-    def box(s):
-        if s * D > (d + 1) * (D - 1):
-            return empty
-        if s not in boxes:
-            y = _least_box_row(A, s, gaps(s))
-            boxes[s] = empty if y is None else np.array(
-                [(s * D - sum(y),) + y], dtype=np.int64)
-        return boxes[s]
-
-    def level_rows(s, room):
-        """The rows of level s, or a count above room once the shifts of
-        the lower levels pass it, so a level that cannot join a batch
-        is not read."""
-        n = sum(len(gaps(t)) * comb(d + 1, s - t)
-                for t in range(max(0, s - d - 1), s))
-        return n if n > room else n + len(gaps(s)) + len(box(s))
-
+    gaps = [A.level(t).gaps() for t in range(max_level + 1)]
+    boxes = [_least_box_row(A, s, g) for s, g in enumerate(gaps)]
+    rows = [len(box) + sum(len(gaps[t]) * comb(d + 1, s - t)
+                           for t in range(max(0, s - d - 1), s + 1))
+            for s, box in enumerate(boxes)]
     found = []  # (-value, y, i)
     lo = 0
     while lo <= max_level:
-        for t in [t for t in held if t < lo - d - 1]:
-            del held[t]  # no longer needed
-        rows = level_rows(lo, inf)
-        budget = batch_bound(rows)
-        hi = lo
-        while hi < max_level and table_key_fits(A, range(lo, hi + 2)):
-            more = level_rows(hi + 1, budget - rows)
-            if rows + more > budget:
-                break
-            rows += more
-            hi += 1
-        batch = range(lo, hi + 1)
+        hi, n = lo, rows[lo]
+        while (hi < max_level and n + rows[hi + 1] <= batch_bound(rows[lo])
+               and table_key_fits(A, range(lo, hi + 2))):
+            hi, n = hi + 1, n + rows[hi + 1]
         pts, tables = face_tables_for_level(
-            A, batch, np.concatenate([boxes.pop(s, empty) for s in batch]),
-            gaps)
+            A, range(lo, hi + 1), np.concatenate(boxes[lo:hi + 1]), gaps)
         # the points are by level, each level's in lexicographic order,
         # so the first of a (level, table) pair is the least of that
         # level's points with that table; a point outside sA has table 0

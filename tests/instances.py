@@ -27,8 +27,8 @@ def level_tables(A, s, rows):
     level views, with dehomogenized rows in and points out."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.d)
     rows = np.column_stack((s * A.D - rows.sum(axis=1), rows))
-    pts, tables = face_tables_for_level(A, range(s, s + 1), rows,
-                                        lambda t: A.level(t).gaps())
+    pts, tables = face_tables_for_level(
+        A, range(s, s + 1), rows, [A.level(t).gaps() for t in range(s + 1)])
     return pts[:, 1:], tables
 
 

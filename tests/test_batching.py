@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from toricreg import GeneratorSet, lattice, naive_sumset, reg, regularity
 from toricreg.cli import analysis_bundle
-from toricreg.families import minimal_smooth, veronese
+from toricreg.families import (minimal_smooth, quartic_singular_surface,
+                               veronese)
 from toricreg.lattice import _UNSEEN, SimplexSlice
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
@@ -191,3 +192,23 @@ class TestSweepBatches:
         with sweep_batches() as batches:
             rr = reg(A)
         assert batches == [range(rr.cutoff_norm // A.D + 1)]
+
+    @pytest.mark.parametrize("make", [quartic_singular_surface,
+                                      lambda: minimal_smooth(3, 4)],
+                             ids=["quartic", "minimal_smooth(3,4)"])
+    def test_each_level_is_read_once(self, make, monkeypatch):
+        # however many batches share a level, the sweep reads its gaps
+        # and its least box row once
+        A = make()
+        top = reg(A).cutoff_norm // A.D
+        reads = []
+        gaps, box = lattice.SumsetLevel.gaps, regularity._least_box_row
+        monkeypatch.setattr(lattice.SumsetLevel, "gaps", lambda level: (
+            reads.append(("gaps", level.s)), gaps(level))[1])
+        monkeypatch.setattr(regularity, "_least_box_row", lambda A, s, g: (
+            reads.append(("box", s)), box(A, s, g))[1])
+        with batch_rows(1), sweep_batches() as batches:
+            regularity._sweep(A, top, "q")
+        assert len(batches) > 1
+        assert sorted(reads) == [(kind, s) for kind in ("box", "gaps")
+                                 for s in range(top + 1)]

@@ -273,10 +273,11 @@ class TestFaceComplexes:
         # coordinates
         A = families.veronese(5, 2)
         s = 2**12
+        empty = np.zeros((0, 5), dtype=np.int64)
         with pytest.raises(ResourceLimitError, match="int64 key"):
             face_tables_for_level(A, range(s, s + 1),
                                   np.array([[s * A.D, 0, 0, 0, 0, 0]]),
-                                  lambda t: np.zeros((0, 5), dtype=np.int64))
+                                  [empty] * (s + 1))
 
     def test_a_batch_key_needs_room_for_each_level(self):
         # one level keeps the single-level bound (s*D + 1)**d; radix 6207

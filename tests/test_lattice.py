@@ -376,14 +376,16 @@ class TestStepProperty:
     def test_threshold_formula(self, d, D, e, expected):
         assert step_threshold(d, D, e) == expected
 
-    def test_threshold_is_sharp_small(self):
-        for d in (1, 2, 3):
-            for D in (2, 3, 4):
+    def test_holds_exactly_from_the_threshold_on(self):
+        # sigma certifies lower from the checks at lower - 1 and lower
+        # alone, which needs the property to be monotone in s
+        for d in range(1, 5):
+            for D in range(2, 7):
                 for e in (x for x in range(1, D + 1) if D % x == 0):
                     thr = step_threshold(d, D, e)
-                    assert step_equality_holds(d, D, e, thr)
-                    if thr > 0:
-                        assert not step_equality_holds(d, D, e, thr - 1)
+                    for s in range(thr + 3):
+                        assert step_equality_holds(d, D, e, s) == (
+                            s >= thr), (d, D, e, s)
 
     @pytest.mark.parametrize("d,D,e,ds", [
         (d, D, e, ds) for d in (1, 2, 3) for D in (2, 3, 4, 5)
