@@ -113,9 +113,10 @@ def face_tables_for_level(A: GeneratorSet, levels: range, rows: np.ndarray,
     then in S_A iff that point is no gap of level s - |F|.  So T_y is
     the full simplex on {j : y_j >= D} minus the faces F that land on a
     gap, at y = g + D*e_F: no membership query is needed.  ``gaps[t]``
-    is level t's gaps (dehomogenized), and ``levels`` is a range of
-    consecutive levels, all tabled at once.  ``rows`` are homogenized
-    points, each in the slice of its level |y| / D.
+    is level t's gaps (dehomogenized), read only for t from lo - d - 1
+    to hi, and ``levels`` = lo..hi is a range of consecutive levels, all
+    tabled at once.  ``rows`` are homogenized points, each in the slice
+    of its level |y| / D.
 
     Returns (points, tables): the distinct rows and gap shifts,
     homogenized, by level and inside a level in lexicographic order of

@@ -8,8 +8,7 @@ all degrees up to d.  Below it only the rows whose T_y can carry
 homology get a face table, read off the gaps (see ``_sweep``), and no
 level above the one where the gaps become final is built: the generator
 set reads every higher level as its slice minus those gaps.  The sweep
-reads each level's gaps, least box row and row count once, then tables
-consecutive levels in batches bounded like the level build's
+tables consecutive levels in batches bounded like the level build's
 (``lattice.batch_bound``), so a small instance takes one or two calls
 and a level over that bound is tabled on its own.
 """
@@ -128,33 +127,35 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     ``face_tables_for_level``), so no least point with homology is lost.
     A box row of sA is no gap shift either, so its T_y is the empty
     complex: only the least one of each level is tabled, read off the
-    gaps with no level unranked (see ``_least_box_row``).  A set that
-    ``sigma`` left stable builds no more levels: it reads them all.
+    gaps with no level unranked (see ``_least_box_row``).
 
-    Each level's gaps and least box row are read once, before any table
-    is built.  Level s then has rows[s] = sum over t of |gaps[t]| *
-    C(d+1, s-t) shift rows plus its box row.  Consecutive levels are
-    tabled in batches, one call each: a batch takes levels while its
-    rows stay at most ``batch_bound`` of its first level's rows, the
-    bound of the level build, and its sort key fits in int64 (see
-    ``table_key_fits``).  So a level over that bound is a batch of its
-    own and a small instance takes one or two calls.
+    One call tables a batch of consecutive levels, taken while their
+    rows stay at most ``batch_bound`` of the first level's and their
+    int64 sort key fits (``table_key_fits``).  Level s has rows[s] =
+    sum over t of |gaps[t]| * C(d+1, s-t) shift rows plus its box row,
+    read once when the batch rule first reaches s; gaps[t] is dropped
+    after its last batch, so a batch and d + 2 levels are held.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
-    gaps = [A.level(t).gaps() for t in range(max_level + 1)]
-    boxes = [_least_box_row(A, s, g) for s, g in enumerate(gaps)]
-    rows = [len(box) + sum(len(gaps[t]) * comb(d + 1, s - t)
-                           for t in range(max(0, s - d - 1), s + 1))
-            for s, box in enumerate(boxes)]
+    gaps, boxes, rows = [], [], []  # of the levels read so far
     found = []  # (-value, y, i)
     lo = 0
     while lo <= max_level:
-        hi, n = lo, rows[lo]
-        while (hi < max_level and n + rows[hi + 1] <= batch_bound(rows[lo])
-               and table_key_fits(A, range(lo, hi + 2))):
-            hi, n = hi + 1, n + rows[hi + 1]
+        hi, n = lo - 1, 0
+        while hi < max_level:
+            s = hi + 1
+            if s == len(rows):  # first reached: read level s
+                gaps.append(A.level(s).gaps())
+                boxes.append(_least_box_row(A, s, gaps[s]))
+                rows.append(len(boxes[s]) + sum(
+                    len(gaps[t]) * comb(d + 1, s - t)
+                    for t in range(max(0, s - d - 1), s + 1)))
+            if s > lo and (n + rows[s] > batch_bound(rows[lo])
+                           or not table_key_fits(A, range(lo, s + 1))):
+                break
+            hi, n = s, n + rows[s]
         pts, tables = face_tables_for_level(
             A, range(lo, hi + 1), np.concatenate(boxes[lo:hi + 1]), gaps)
         # the points are by level, each level's in lexicographic order,
@@ -169,6 +170,8 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
             i = min_nonzero_degree(t, d + 1, field) if t else None
             if i is not None:
                 found.append((i + 1 - s, tuple(y), i))
+        for t in range(max(0, lo - d - 1), max(0, hi - d)):
+            gaps[t] = None  # no later level reads level t
         lo = hi + 1
     neg, y, i = min(found)
     return -neg, y, i

@@ -7,6 +7,7 @@ the sweep must not depend on it."""
 
 import contextlib
 import functools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestSweepBatches:
                              ids=["quartic", "minimal_smooth(3,4)"])
     def test_each_level_is_read_once(self, make, monkeypatch):
         # however many batches share a level, the sweep reads its gaps
-        # and its least box row once
+        # once, and its least box row at most once
         A = make()
         top = reg(A).cutoff_norm // A.D
         reads = []
@@ -210,5 +211,23 @@ class TestSweepBatches:
         with batch_rows(1), sweep_batches() as batches:
             regularity._sweep(A, top, "q")
         assert len(batches) > 1
-        assert sorted(reads) == [(kind, s) for kind in ("box", "gaps")
-                                 for s in range(top + 1)]
+        assert sorted(s for kind, s in reads if kind == "gaps") == list(
+            range(top + 1))
+        boxed = sorted(s for kind, s in reads if kind == "box")
+        assert len(set(boxed)) == len(boxed)
+        assert set(boxed) >= {s for s in range(top + 1)
+                              if s * A.D <= (A.d + 1) * (A.D - 1)}
+
+    def test_gaps_of_a_few_levels_are_held(self):
+        # a long d = 1 chain has 201 levels with gaps: the sweep holds a
+        # batch of them and the d + 2 around it, not all of them
+        A = GeneratorSet(1, [(0,), (1,), (199,), (200,)])
+        top = reg(A).cutoff_norm // A.D
+        every = sum(A.level(t).gaps().nbytes for t in range(top + 1))
+        tracemalloc.start()
+        try:
+            regularity._sweep(A, top, "q")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < every / 2
