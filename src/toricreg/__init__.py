@@ -14,7 +14,6 @@ from .errors import (CertificationError, InvalidInstanceError,
                      PreconditionError, ResourceLimitError, ToricRegError,
                      UnsupportedInstanceError)
 from .homology import betti_numbers
-from .oracle import naive_member, naive_sumset
 from .lattice import (GeneratorSet, SumsetLevel, hilbert_function,
                       homogenize, step_equality_holds, step_threshold)
 from .regularity import (DegreeResult, RegularityResult, degree, eg_check,
@@ -32,7 +31,7 @@ __all__ = [
     "SigmaBounds", "SigmaResult", "SumsetLevel", "ToricRegError",
     "UnsupportedInstanceError", "betti_numbers", "classify", "compute_holes",
     "degree", "eg_check", "eg_inequality_suite", "herzog_hibi_bound",
-    "hilbert_function", "homogenize", "is_chart_smooth", "naive_member",
-    "naive_sumset", "one_singular_bound", "reduce_e_equals_D", "reg", "sigma",
-    "sigma_bounds", "sizeA_bound", "step_equality_holds", "step_threshold",
+    "hilbert_function", "homogenize", "is_chart_smooth", "one_singular_bound",
+    "reduce_e_equals_D", "reg", "sigma", "sigma_bounds", "sizeA_bound",
+    "step_equality_holds", "step_threshold",
 ]

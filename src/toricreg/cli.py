@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import families
 from .classify import OTHER, classify
 from .errors import (InvalidInstanceError, PreconditionError,
                      ResourceLimitError, ToricRegError,
@@ -131,6 +130,8 @@ def plot_svg(A: GeneratorSet, s: int) -> str:
 
 def generate(family: str, d: int, D: int, e: Optional[int],
              extras: Optional[int], seed: int) -> GeneratorSet:
+    from . import families  # imported here: only gen pays for it
+
     rng = random.Random(seed)
     if family == "veronese":
         return families.veronese(d, D)
@@ -183,17 +184,36 @@ def _corpus_rows(paths: list[Path], field, cutoff: Optional[int],
 
 def run_corpus(directory: str, field, cutoff: Optional[int],
                max_slice: int, threads: Optional[int] = None) -> str:
-    """The corpus CSV, rows in sorted-filename order.  Files are analyzed
-    in W = min(threads, cpu count, file count) forked worker processes,
-    worker k taking the files k, k + W, ... in sorted order as one task,
-    or in this process when W is 1; the CSV, and the first failing file
-    in sorted order, are the same either way."""
+    """The corpus CSV, rows in sorted-filename order.  Files with
+    identical bytes are analyzed once, on the first in sorted order, and
+    the others take its row under their own names; a file that differs
+    only in whitespace counts as distinct.  The distinct files are
+    analyzed in W = min(threads, cpu count, distinct file count) forked
+    worker processes, worker k taking the distinct files k, k + W, ...
+    in sorted order as one task, or in this process when W is 1; the
+    CSV, and the first failing file in sorted order, are the same either
+    way and as if every file were analyzed."""
     if not Path(directory).is_dir():
         raise NotADirectoryError(f"corpus {directory!r} is not a directory")
     paths = sorted(Path(directory).glob("*.json"))
-    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(paths)))
+    # Keyed by bytes, not by parsed instance: parsing here would be serial
+    # work, and True == 1 would let [true, 0] stand for a valid [1, 0].
+    # An entry that cannot be read is keyed by its path, so its own
+    # analysis raises the error, in its place.
+    first: dict = {}
+    reps, slots = [], []
+    for path in paths:
+        try:
+            key = path.read_bytes()
+        except OSError:
+            key = path
+        if key not in first:
+            first[key] = len(reps)
+            reps.append(path)
+        slots.append(first[key])
+    workers = max(1, min(threads or 1, os.cpu_count() or 1, len(reps)))
     if workers == 1:
-        shares = [_corpus_rows(paths, field, cutoff, max_slice)]
+        shares = [_corpus_rows(reps, field, cutoff, max_slice)]
     else:
         # imported here: a command that never forks pays no import for it
         import multiprocessing
@@ -209,22 +229,23 @@ def run_corpus(directory: str, field, cutoff: Optional[int],
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            tasks = [pool.submit(_corpus_rows, paths[k::workers], field,
+            tasks = [pool.submit(_corpus_rows, reps[k::workers], field,
                                  cutoff, max_slice) for k in range(workers)]
             shares = [task.result() for task in tasks]
         except BrokenProcessPool as exc:
             raise ResourceLimitError(f"a corpus worker died: {exc}") from exc
         finally:
             pool.shutdown(cancel_futures=True)
-    # row i is entry i // W of share i % W; a share ends at its first
-    # failure, so every row before the first failure in sorted order is
-    # there
+    # distinct file j's row is entry j // W of share j % W; a share ends
+    # at its first failure, and a file's first copy in sorted order is
+    # the one analyzed, so every row before the first failure in sorted
+    # order is there
     rows = []
-    for i in range(len(paths)):
-        row = shares[i % workers][i // workers]
+    for path, j in zip(paths, slots):
+        row = shares[j % workers][j // workers]
         if isinstance(row, Exception):
             raise row
-        rows.append(row)
+        rows.append([path.name, *row[1:]])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["file", "d", "D", "e", "verdict", "sigma", "reg",

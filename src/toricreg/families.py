@@ -83,7 +83,11 @@ def _sample_extras(pool: list[Point], rng: random.Random,
 
 def smooth_random_superset(d: int, D: int, rng: random.Random,
                            extras: Optional[int] = None) -> GeneratorSet:
-    """Minimal smooth configuration plus random extra generators."""
+    """Minimal smooth configuration plus random extra generators.
+
+    Draws from a small pool repeat: the 20 seeded instances of the
+    acceptance suite's smooth corpus hold 16 distinct sets, and its three
+    (d, D) = (1, 3) draws are one set."""
     base = minimal_smooth_points(d, D)
     pool = [p for p in _norm_e_points(d, D, 1) if p not in base]
     A = GeneratorSet(d, base | _sample_extras(pool, rng, extras))
@@ -95,7 +99,11 @@ def smooth_random_superset(d: int, D: int, rng: random.Random,
 def one_singular_random(d: int, D: int, e: int, rng: random.Random,
                         extras: Optional[int] = None) -> GeneratorSet:
     """One-singular base plus random extras, resampled until the
-    classification confirms the intended family."""
+    classification confirms the intended family.
+
+    Draws from a small pool repeat: the 20 seeded instances of the
+    acceptance suite hold 4 distinct sets in the (d, D, e) = (2, 4, 2)
+    cell, 2 in (2, 4, 4) and 7 in (2, 6, 6)."""
     base = one_singular_base_points(d, D, e)
     pool = [p for p in _norm_e_points(d, D, e) if p not in base]
     for _ in range(MAX_RESAMPLE):

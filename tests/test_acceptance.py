@@ -18,17 +18,17 @@ import numpy as np
 import pytest
 
 from toricreg import (GeneratorSet, betti_numbers, classify, degree,
-                      eg_check, eg_inequality_suite, homogenize, naive_member,
-                      naive_sumset, one_singular_bound, reg, regularity,
-                      sigma, sizeA_bound, step_equality_holds,
-                      step_threshold)
+                      eg_check, eg_inequality_suite, homogenize,
+                      one_singular_bound, reg, regularity, sigma,
+                      sizeA_bound, step_equality_holds, step_threshold)
 from toricreg.classify import ONE_SINGULAR, SMOOTH, is_chart_smooth
 from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
                                smooth_random_superset, veronese)
 from toricreg.lattice import slice_size, unit
-from toricreg.oracle import (homology_recheck, naive_faces,
-                             naive_minimal_generators, naive_slice_points)
+from toricreg.oracle import (homology_recheck, naive_faces, naive_member,
+                             naive_minimal_generators, naive_slice_points,
+                             naive_sumset)
 
 from instances import level_tables, members
 

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricreg import GeneratorSet, lattice, naive_sumset, reg, regularity
+from toricreg import GeneratorSet, lattice, reg, regularity
 from toricreg.cli import analysis_bundle
 from toricreg.families import (minimal_smooth, quartic_singular_surface,
                                veronese)
 from toricreg.lattice import _UNSEEN, SimplexSlice
+from toricreg.oracle import naive_sumset
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
                        full_sweep, oracle_witness)

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from toricreg import (CertificationError, GeneratorSet, InvalidInstanceError,
                       ONE_SINGULAR, OTHER, SMOOTH, classify, homogenize,
-                      is_chart_smooth, naive_member, reduce_e_equals_D)
+                      is_chart_smooth, reduce_e_equals_D)
 from toricreg.families import (minimal_smooth, one_singular_base, veronese)
-from toricreg.oracle import naive_minimal_generators
+from toricreg.oracle import naive_member, naive_minimal_generators
 
 from instances import FAMILIES, arbitrary_sets, family_instance
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from toricreg import PreconditionError, cli, families, naive_sumset
+from toricreg import PreconditionError, cli, families
 from toricreg.cli import analysis_bundle, main
+from toricreg.oracle import naive_sumset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -352,6 +353,36 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
+@pytest.fixture
+def shares(monkeypatch):
+    """The number of files in each task submitted to a corpus pool."""
+    from concurrent.futures import ProcessPoolExecutor
+    sizes = []
+    submit = ProcessPoolExecutor.submit
+
+    def counted(pool, fn, *args, **kwargs):
+        sizes.append(len(args[0]))
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    return sizes
+
+
+@pytest.fixture
+def analyzed(monkeypatch):
+    """The names of the files ``cli._corpus_row`` analyzes in this
+    process."""
+    names = []
+    real_row = cli._corpus_row
+
+    def counted(path, *args):
+        names.append(path.name)
+        return real_row(path, *args)
+
+    monkeypatch.setattr(cli, "_corpus_row", counted)
+    return names
+
+
 class TestCorpus:
     def test_golden_csv(self, capsys, tmp_path, two_cpus):
         # 8 workers asked for, more than the three files
@@ -363,23 +394,83 @@ class TestCorpus:
             assert out == (GOLDEN / "corpus.csv").read_text()
             assert multiprocessing.active_children() == []
 
-    def test_one_task_per_worker(self, capsys, monkeypatch, tmp_path,
-                                 two_cpus):
+    def test_one_task_per_worker(self, capsys, tmp_path, two_cpus, shares):
         # each worker takes its strided share of the files as one task
-        from concurrent.futures import ProcessPoolExecutor
-        tasks = []
-        submit = ProcessPoolExecutor.submit
-
-        def counted(pool, fn, *args, **kwargs):
-            tasks.append(len(args[0]))
-            return submit(pool, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
         directory = _golden_corpus(tmp_path)
         code, out, _ = run(capsys, "corpus", directory, "--threads", "2")
         assert code == 0
         assert out == (GOLDEN / "corpus.csv").read_text()
-        assert tasks == [2, 1]  # files 0 and 2, then file 1
+        assert shares == [2, 1]  # files 0 and 2, then file 1
+
+    def test_identical_copies_take_their_original_row(self, capsys,
+                                                      tmp_path, two_cpus,
+                                                      shares):
+        # copies sort before, between and after the golden files; only
+        # the three distinct files are handed to the workers
+        directory = _golden_corpus(tmp_path)
+        copies = {"a.json": "sextic.json", "r.json": "quartic.json",
+                  "z.json": "even_sextic.json"}
+        for copy, original in copies.items():
+            shutil.copy(tmp_path / original, tmp_path / copy)
+        golden = (GOLDEN / "corpus.csv").read_text().splitlines()
+        rows = dict(line.split(",", 1) for line in golden[1:])
+        rows.update({copy: rows[original]
+                     for copy, original in copies.items()})
+        expected = [golden[0]] + [f"{name},{rows[name]}"
+                                  for name in sorted(rows)]
+        for threads in ("1", "2", "8"):
+            shares.clear()
+            code, out, _ = run(capsys, "corpus", directory,
+                               "--threads", threads)
+            assert code == 0
+            assert out.splitlines() == expected
+            assert sum(shares) == (0 if threads == "1" else 3)
+
+    def test_one_analysis_per_distinct_content(self, capsys, tmp_path,
+                                               analyzed):
+        directory = _golden_corpus(tmp_path)
+        quartic = (tmp_path / "quartic.json").read_text()
+        (tmp_path / "quartic_copy.json").write_text(quartic)
+        (tmp_path / "quartic_spaced.json").write_text(quartic + "\n")
+        code, out, _ = run(capsys, "corpus", directory, "--threads", "1")
+        assert code == 0
+        # a copy differing only in whitespace is analyzed on its own
+        assert analyzed == ["even_sextic.json", "quartic.json",
+                            "quartic_spaced.json", "sextic.json"]
+        rows = [line.split(",", 1) for line in out.splitlines()[1:]]
+        assert rows[1][1] == rows[2][1] == rows[3][1]
+
+    @pytest.mark.parametrize("entries,first", [
+        # a failing file with a later identical copy
+        ({"t.json": "invalid", "u.json": "invalid"}, "t.json"),
+        # a *.json directory before or after a failing file
+        ({"sz.json": "dir", "t.json": "invalid"}, "sz.json"),
+        ({"t.json": "invalid", "u.json": "dir"}, "t.json"),
+    ])
+    def test_failures_with_copies_and_directories(self, capsys, tmp_path,
+                                                  two_cpus, analyzed,
+                                                  entries, first):
+        directory = _golden_corpus(tmp_path)
+        shutil.copy(tmp_path / "quartic.json", tmp_path / "quartic_copy.json")
+        for name, kind in entries.items():
+            if kind == "dir":
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(
+                    '{"d": 2, "A": [[0, 0], [4, 0]]}')
+        outcomes = []
+        for threads in ("1", "2"):
+            outcomes.append(run(capsys, "corpus", directory,
+                                "--threads", threads))
+            assert multiprocessing.active_children() == []
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert code == 1 and out == "" and err.count("\n") == 1
+        reason = "Is a directory" if entries[first] == "dir" else "4*e_2"
+        assert err.startswith("error:") and reason in err
+        # with one thread quartic_copy.json is not analyzed
+        assert analyzed == ["even_sextic.json", "quartic.json",
+                            "sextic.json", first]
 
     def test_other_row_left_blank(self, capsys, tmp_path):
         (tmp_path / "other.json").write_text(
@@ -438,12 +529,23 @@ class TestCorpus:
 
     def test_import_loads_no_pool(self):
         # only a corpus run with more than one worker imports the pool
-        probe = ("import sys, toricreg.cli; print(sorted(m for m in "
-                 "sys.modules if m.startswith(('concurrent', "
-                 "'multiprocessing'))))")
-        root = Path(__file__).resolve().parents[1]
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
-            timeout=60).stdout
-        assert out == "[]\n"
+        assert _loaded_by_import(("concurrent", "multiprocessing")) == []
+
+    def test_import_loads_neither_oracle_nor_generators(self):
+        # the test oracle is never used by the CLI, the generators only
+        # by gen
+        assert _loaded_by_import(("toricreg.oracle",
+                                  "toricreg.families")) == []
+
+
+def _loaded_by_import(prefixes: tuple) -> list:
+    """The modules starting with one of ``prefixes`` that a fresh
+    ``import toricreg.cli`` loads."""
+    probe = (f"import json, sys, toricreg.cli; print(json.dumps([m for m "
+             f"in sorted(sys.modules) if m.startswith({prefixes!r})]))")
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
+        timeout=60).stdout
+    return json.loads(out)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from toricreg import (CertificationError, PreconditionError,
                       ResourceLimitError, betti_numbers, families,
-                      homogenize, homology, naive_member, oracle, reg)
+                      homogenize, homology, oracle, reg)
 from toricreg.homology import (HOMOLOGY_CACHE_SIZE, face_tables_for_level,
                                min_nonzero_degree, table_key_fits)
-from toricreg.oracle import homology_recheck, naive_faces, naive_slice_points
+from toricreg.oracle import (homology_recheck, naive_faces, naive_member,
+                             naive_slice_points)
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
                        level_tables, members)

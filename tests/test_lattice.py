@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, PreconditionError,
                       ResourceLimitError, hilbert_function, homogenize,
-                      lattice, naive_member, naive_sumset, sigma,
-                      step_equality_holds, step_threshold)
+                      lattice, sigma, step_equality_holds,
+                      step_threshold)
 from toricreg.families import minimal_smooth, veronese
 from toricreg.lattice import _UNSEEN, SimplexSlice, slice_size, unit
-from toricreg.oracle import MAX_NAIVE_GENERATORS, naive_slice_points
+from toricreg.oracle import (MAX_NAIVE_GENERATORS, naive_member,
+                             naive_slice_points, naive_sumset)
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
                        members)

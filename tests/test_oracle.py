@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from toricreg import PreconditionError, naive_member, naive_sumset, oracle
-from toricreg.oracle import homology_recheck, naive_minimal_generators
+from toricreg import PreconditionError, oracle
+from toricreg.oracle import (homology_recheck, naive_member,
+                             naive_minimal_generators, naive_sumset)
 
 
 def package_imports(source: str) -> set[str]:
