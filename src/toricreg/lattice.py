@@ -8,10 +8,10 @@ rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
 engine: its one record holds, for each rank, the first level s with the
 point in sA, and one rank table, a slice at or above its top built level,
 ranks every level it holds; once the gaps are final, no level above the
-top is built, and the final gaps are unranked once.  ``SumsetLevel``
-objects are views of that record that read a slice size off the table
-(the closed form above it) and unrank their points through the table, or
-a capped slice(s) of their own above it.
+top is built.  ``SumsetLevel`` objects are views of that record that
+read a slice size off the table (the closed form above it), unrank their
+gaps through the table, which holds every gap, and their points through
+the table, or a capped slice(s) of their own above it.
 
 The level build ranks the shifts of the new points by every generator.
 It stacks the copies into one array per batch, so numpy is called once
@@ -28,7 +28,6 @@ coordinates, never a rank.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import comb, gcd
 from typing import Iterable, Sequence
@@ -193,15 +192,9 @@ class SumsetLevel:
 
     def gaps(self) -> np.ndarray:
         """(size - cardinality, d) array of slice(s) \\ sA, in rank order,
-        so by norm first.  At or above the stable level it is the set's
-        one read-only array of final gaps."""
+        so by norm first, unranked through the set's table.  Above the
+        top built level the gaps are final and the record holds them all."""
         A = self._A
-        if A._stable and self.s >= A._built:
-            if A._final_gaps is None:
-                A._final_gaps = A._slice.unrank(
-                    np.flatnonzero(A._first == _UNSEEN))
-                A._final_gaps.flags.writeable = False
-            return A._final_gaps
         return A._slice.unrank(np.flatnonzero(A._first[:self.size] > self.s))
 
     @property
@@ -228,8 +221,9 @@ class GeneratorSet:
     its level is a prefix of it with the same ranks, so it ranks every
     build, unranks the gaps of any level and gives |slice(s)| as a table
     read.  A build above the table's level makes a new one that holds
-    twice the levels built, or the highest level below that the cap
-    allows, so a set makes O(log) tables however many levels it builds.
+    twice the levels built, so a set makes O(log) tables however many
+    levels it builds; when the cap refuses that table, the build makes
+    slice(s) alone.
     ``level`` returns a fresh view, so no level refers back to a set that
     holds it and a dropped set is freed at once.
     """
@@ -272,10 +266,8 @@ class GeneratorSet:
         self._built = -1  # no level built
         self._first = np.zeros(0, dtype=np.int32)
         self._stable = False
-        self._final_gaps: np.ndarray | None = None  # unranked on first read
-        # the nonzero generators as an array, made by the first build
-        # above level 0 (families make many sets they never build)
-        self._gens: np.ndarray | None = None
+        # the nonzero generators; self.points has the origin first
+        self._gens = np.array(self.points[1:], dtype=np.int64).reshape(-1, d)
 
     # -- sumsets --------------------------------------------------------
 
@@ -283,7 +275,7 @@ class GeneratorSet:
         if s < 0:
             raise PreconditionError("level must be >= 0")
         if self._stable or s <= self._built:
-            return SumsetLevel(self, s)  # built, or read from final gaps
+            return SumsetLevel(self, s)  # built, or its slice minus the gaps
         # slices grow with s, so this covers every level built below
         capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
         while not self._stable and self._built < s:
@@ -298,15 +290,13 @@ class GeneratorSet:
 
     def _rank_table(self, s: int) -> SimplexSlice:
         """The rank table that a build of level s past the current one
-        makes: slice(2s + 2), so it holds twice the levels built, or the
-        highest slice below it that the cap allows, down to slice(s)."""
-        for t in range(2 * s + 2, s, -1):
-            try:
-                return SimplexSlice(self.d, self.D, t, self.e,
-                                    self.max_slice_size)
-            except ResourceLimitError:
-                pass
-        return SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
+        makes: slice(2s + 2), so it holds twice the levels built, or
+        slice(s) when the cap refuses that."""
+        try:
+            return SimplexSlice(self.d, self.D, 2 * s + 2, self.e,
+                                self.max_slice_size)
+        except ResourceLimitError:
+            return SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
 
     def _next_level(self) -> SumsetLevel:
         """Builds level s from the points F new at level s - 1: as 0 is
@@ -339,12 +329,9 @@ class GeneratorSet:
             first[0] = 0  # the origin
         else:
             frontier = sl.unrank(np.flatnonzero(self._first == s - 1))
-            if self._gens is None:  # self.points has the origin first
-                self._gens = np.array(self.points[1:], dtype=np.int64)
-            gens = self._gens
             step = max(1, batch_bound(len(frontier)) // len(frontier))
-            for j in range(0, len(gens), step):
-                shifts = frontier[None] + gens[j:j + step, None]
+            for j in range(0, len(self._gens), step):
+                shifts = frontier[None] + self._gens[j:j + step, None]
                 ranks = sl.rank_array(shifts.reshape(-1, self.d))
                 first[ranks[first[ranks] == _UNSEEN]] = s  # repeats write s
         self._stable = bool(s * self.D >= self.d * (self.D - 1)
@@ -383,16 +370,13 @@ def step_threshold(d: int, D: int, e: int = 1) -> int:
     return -(-num // D)
 
 
-@functools.lru_cache(maxsize=256)
 def step_equality_holds(d: int, D: int, e: int, s: int,
                         max_slice_size: int = DEFAULT_MAX_SLICE_SIZE) -> bool:
     """Whether slice(s) + {0, D*e_1, ..., D*e_d} == slice(s+1).
 
     slice(s) covers itself, so only the shell slice(s+1) \\ slice(s) is
     read: a shell point z has sD < |z| <= (s+1)D and e | |z| - D, so
-    z - D*e_i lies in slice(s) iff z_i >= D.  The answer is cached per
-    arguments, as ``sigma`` asks it of every instance of a (d, D, e).
-    """
+    z - D*e_i lies in slice(s) iff z_i >= D."""
     if s < 0:
         return False
     hi = SimplexSlice(d, D, s + 1, e, max_slice_size)

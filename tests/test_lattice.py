@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricreg import (GeneratorSet, InvalidInstanceError, PreconditionError,
-                      ResourceLimitError, hilbert_function, homogenize,
-                      lattice, sigma, step_equality_holds,
+                      ResourceLimitError, classify, hilbert_function,
+                      homogenize, lattice, sigma, step_equality_holds,
                       step_threshold)
-from toricreg.families import minimal_smooth, veronese
+from toricreg.families import (minimal_smooth, quartic_singular_surface,
+                               veronese)
 from toricreg.lattice import _UNSEEN, SimplexSlice, slice_size, unit
 from toricreg.oracle import (MAX_NAIVE_GENERATORS, naive_member,
                              naive_slice_points, naive_sumset)
@@ -219,21 +220,49 @@ class TestGeneratorSet:
         assert [A.level(s).size for s in range(n)] == [
             slice_size(3, 6 * s) for s in range(n)]
 
-    def test_final_gaps_are_unranked_once(self, quartic, monkeypatch):
-        # every level from the stable one up reads one read-only array
-        calls = []
-        unrank = SimplexSlice.unrank
-        monkeypatch.setattr(SimplexSlice, "unrank", lambda sl, r: (
-            calls.append(len(r)), unrank(sl, r))[1])
+    def test_gaps_are_read_through_the_rank_table(self, quartic,
+                                                  monkeypatch):
+        # from the stable level up, every level's gaps are the final
+        # ones, read off the record through the set's table: no slice
+        # above the table is made to read them
         A = GeneratorSet(quartic.d, quartic.points)
         A.level(5)
         stop = A.stable_level
-        calls.clear()
-        gaps = [A.level(s).gaps() for s in (stop, stop + 1, 5, 1000)]
-        assert calls == [1]
-        assert all(g is gaps[0] for g in gaps)
-        assert not gaps[0].flags.writeable
-        assert gaps[0].tolist() == [[1, 1]]
+        made = []
+
+        class Counted(SimplexSlice):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(lattice, "SimplexSlice", Counted)
+        for s in (stop, stop + 1, 5, 1000):
+            assert A.level(s).gaps().tolist() == [[1, 1]], s
+        assert made == []
+
+    @pytest.mark.parametrize("make", [
+        quartic_singular_surface, lambda: minimal_smooth(3, 6),
+        lambda: GeneratorSet(1, [(0,), (1,), (5,), (6,), (7,), (8,), (9,)]),
+    ])
+    def test_capped_rank_tables_keep_the_record(self, make):
+        # a cap that allows every level built but refuses slice(2s + 2)
+        # makes the build fall back to a smaller rank table; the record,
+        # the sizes, the gaps and the stable level stay those of the
+        # uncapped set
+        free = make()
+        d, points = free.d, free.points
+        free.level(40)
+        top = free.stable_level
+        cap = max(slice_size(d, top * free.D, free.e), top * free.D + 1)
+        capped = GeneratorSet(d, points, max_slice_size=cap)
+        capped.level(top)
+        assert capped._slice.s == capped._built < free._slice.s
+        assert capped.stable_level == top
+        assert np.array_equal(capped._first, free._first)
+        for s in list(range(top + 3)) + [40]:
+            a, b = capped.level(s), free.level(s)
+            assert (a.size, a.cardinality) == (b.size, b.cardinality), s
+            assert np.array_equal(a.gaps(), b.gaps()), s
 
     def test_level_build_is_bounded_by_its_slice(self):
         # the frontier's shifts are ranked in batches of max(|F|,
@@ -367,6 +396,27 @@ class TestGeneratorSet:
         assert listed == naive_sumset(A.points, 5)
         with pytest.raises(ResourceLimitError, match="s=1000 "):
             far.points
+
+    @given(st.sampled_from(["smooth_random", "one_singular"]),
+           st.integers(1, 3), st.integers(2, 6),
+           st.sampled_from(["1", "2", "D"]), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_levels_from_the_stable_one_up_are_slice_minus_holes(
+            self, family, d, D, e, seed):
+        # after sigma, every level from stop on, the ones above the rank
+        # table included, is slice(s) minus the hole set H
+        A = family_instance(family, d, D, D if e == "D" else int(e), seed)
+        report = classify(A)
+        holes = sigma(A, report).holes
+        A = report.instance
+        stop, far = A.stable_level, 2 * A._slice.s + A.d + 3
+        expected = [slice_size(A.d, s * A.D, A.e) - len(holes)
+                    for s in range(far + 1)]
+        for s in list(range(stop, stop + A.d + 3)) + [far]:
+            level = A.level(s)
+            assert set(map(tuple, level.gaps().tolist())) == holes, s
+            assert level.cardinality == expected[s], s
+        assert hilbert_function(A, far)[stop:] == expected[stop:]
 
 
 class TestStepProperty:

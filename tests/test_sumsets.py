@@ -13,7 +13,7 @@ from toricreg.families import (even_sextic_surface, minimal_smooth,
                                one_singular_base, one_singular_random,
                                quartic_singular_surface, sextic_surface,
                                veronese)
-from toricreg.lattice import SimplexSlice, slice_size, step_equality_holds
+from toricreg.lattice import SimplexSlice, slice_size
 from toricreg.oracle import naive_slice_points
 
 from instances import FAMILIES, family_instance, members
@@ -159,17 +159,6 @@ class TestSigma:
                             lambda d, D, e=1: threshold(d, D, e) + shift)
         with pytest.raises(CertificationError, match="step property"):
             sigma(veronese(3, 4))
-
-    def test_step_check_runs_once_per_cell(self):
-        # sigma checks the step property at lower - 1 and lower, which
-        # depend on (d, D, e) alone: the 20 criterion-6 (2, 4, 2)
-        # instances share two shell checks
-        rng = random.Random(1000 * 2 + 10 * 4 + 2)
-        instances = [one_singular_random(2, 4, 2, rng) for _ in range(20)]
-        step_equality_holds.cache_clear()
-        for A in instances:
-            sigma(A)
-        assert step_equality_holds.cache_info().misses == 2
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from([(2, 4, 2), (2, 6, 3), (3, 4, 2), (2, 4, 4),
