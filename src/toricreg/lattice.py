@@ -4,26 +4,20 @@ Points are plain tuples of nonnegative ints.  A ``SimplexSlice`` is the set
 of lattice points of bounded coordinate sum (optionally restricted to sums
 divisible by ``e``), ranked by norm first and colexicographically inside a
 norm layer, so slice(s) is a prefix of slice(s+1) and a point has the same
-rank in every slice that holds it.  A ``GeneratorSet`` is the one sumset
-engine: its one record holds, for each rank, the first level s with the
-point in sA, and one rank table, a slice at or above its top built level,
-ranks every level it holds; once the gaps are final, no level above the
-top is built.  ``SumsetLevel`` objects are views of that record that
-read a slice size off the table (the closed form above it), unrank their
-gaps through the table, which holds every gap, and their points through
-the table, or a capped slice(s) of their own above it.
+rank in every slice that holds it.
 
-The level build ranks the shifts of the new points by every generator.
-It stacks the copies into one array per batch, so numpy is called once
-per level rather than once per generator, and ``batch_bound`` bounds a
-batch: it holds at most max(m, _BATCH_ROWS) rows, m being one copy's
-rows.  A batch thus needs no more memory than a single copy, or
-~_BATCH_ROWS * d int64 entries when the copies are small.  The reg
-sweep batches its levels by the same bound.
+A ``GeneratorSet`` is the one sumset engine.  Lifted by a -> (D - |a|, a),
+A generates a semigroup S whose level s is sA.  The engine's record, one
+level per build, is the Apery set of S over the vertices D*e_j, Ap = {y
+in S : y - D*e_j not in S for every j}, and the gap points y, whose
+natural level (least s with y in slice(s)) is below their first level
+(least s with y in sA), with that first level.  ``SumsetLevel`` objects
+filter that record.  The build's shifts and the reg sweep's levels come
+in batches of at most max(m, _BATCH_ROWS) rows, m one part's rows.
 
-Ranks are private to this module: levels hand out their members and gaps
-as (n, d) arrays of points in rank order, so other modules read norms and
-coordinates, never a rank.
+Ranks are private to this module: levels hand out their members, gaps and
+Apery elements as arrays of points in rank order, so other modules read
+norms and coordinates, never a rank.
 """
 
 from __future__ import annotations
@@ -41,11 +35,7 @@ Point = tuple[int, ...]
 #: Default cap on the number of lattice points a single slice may hold.
 DEFAULT_MAX_SLICE_SIZE = 2**27
 
-#: First-appearance level of a rank that no level built so far contains.
-_UNSEEN = np.iinfo(np.int32).max
-
-#: A batch of shifted copies of an m-row array holds at most
-#: max(m, _BATCH_ROWS) rows (see the module docstring).
+#: A batch of copies of an m-row part holds at most max(m, _BATCH_ROWS) rows.
 _BATCH_ROWS = 1 << 14
 
 
@@ -120,16 +110,10 @@ class SimplexSlice:
         # _last[n] = rank of the last slice point of norm <= n
         self._last = np.cumsum(layer) - 1
 
-    def level_size(self, s: int) -> int:
-        """|slice(s)| for s <= self.s, read off the rank table: slice(s)
-        is the prefix up to the last point of norm s*D."""
-        return int(self._last[s * self.D]) + 1
-
     def rank_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized rank of an (n, d) array of slice points.
 
-        The rows must lie in the slice: the level build ranks only shifts
-        of a level's points by generators, which do.
+        The rows must lie in the slice, as a level's gaps do.
 
         Inside the layer of norm n, the points colex-after z are counted
         by prefix sums: sum over c of #{w in N^c : |w| < z_0 + ... + z_(c-1)}.
@@ -168,8 +152,8 @@ class SimplexSlice:
 
 
 class SumsetLevel:
-    """The s-fold sumset sA inside slice(s), as a view of its generator
-    set: y is in sA iff the first level holding y is at most s."""
+    """The s-fold sumset sA inside slice(s), a view of its generator set's
+    record: its gaps are the gap points of natural level <= s < first."""
 
     def __init__(self, A: GeneratorSet, s: int):
         self._A = A
@@ -177,35 +161,37 @@ class SumsetLevel:
 
     @property
     def size(self) -> int:
-        """|slice(s)|, off the set's rank table, or from the closed form
-        above it."""
-        A = self._A
-        if self.s <= A._slice.s:
-            return A._slice.level_size(self.s)
-        return slice_size(A.d, self.s * A.D, A.e)
+        """|slice(s)|, in closed form."""
+        return slice_size(self._A.d, self.s * self._A.D, self._A.e)
 
     @property
     def cardinality(self) -> int:
-        """|sA|, the slice size minus the gaps, counted, not unranked."""
-        size = self.size
-        return size - int(np.count_nonzero(self._A._first[:size] > self.s))
+        """|sA|, the slice size minus the gaps."""
+        return self.size - len(self.gaps())
 
     def gaps(self) -> np.ndarray:
         """(size - cardinality, d) array of slice(s) \\ sA, in rank order,
-        so by norm first, unranked through the set's table.  Above the
-        top built level the gaps are final and the record holds them all."""
+        so by norm first; above the top built level, the final gaps."""
         A = self._A
-        return A._slice.unrank(np.flatnonzero(A._first[:self.size] > self.s))
+        return A._gaps[(A._gaps.sum(axis=1) <= self.s * A.D)
+                       & (A._filled > self.s)]
+
+    def apery(self) -> np.ndarray:
+        """(n, d+1) array of the Apery elements of level s, homogenized,
+        in rank order; none lie above the top built level once the gaps
+        are final (see ``_next_level``)."""
+        A = self._A
+        y = A._apery[self.s] if self.s <= A._built else A._apery[0][:0]
+        return np.column_stack((self.s * A.D - y.sum(axis=1), y))
 
     @property
     def points(self) -> np.ndarray:
-        """(cardinality, d) array of sA, in rank order, unranked through
-        the set's table, or through a capped slice(s) above it."""
+        """(cardinality, d) array of sA, in rank order: slice(s), capped,
+        unranked with its gaps left out."""
         A = self._A
-        sl = A._slice if self.s <= A._slice.s else SimplexSlice(
-            A.d, A.D, self.s, A.e, A.max_slice_size)
-        member = np.ones(self.size, dtype=bool)
-        member[:len(A._first)] = A._first[:len(member)] <= self.s
+        sl = SimplexSlice(A.d, A.D, self.s, A.e, A.max_slice_size)
+        member = np.ones(sl.size, dtype=bool)
+        member[sl.rank_array(self.gaps())] = False
         return sl.unrank(np.flatnonzero(member))
 
 
@@ -213,19 +199,12 @@ class GeneratorSet:
     """A finite A in N^d with 0 and all D*e_i present; the single source
     instance for every downstream computation.
 
-    D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).
-    Sumset levels are built on demand into one record: ``_first[r]`` is
-    the first level holding the point of rank r, for every rank of
-    slice(_built), the top built level.  The set keeps one
-    ``SimplexSlice``, ``_slice``, as its rank table: every slice up to
-    its level is a prefix of it with the same ranks, so it ranks every
-    build, unranks the gaps of any level and gives |slice(s)| as a table
-    read.  A build above the table's level makes a new one that holds
-    twice the levels built, so a set makes O(log) tables however many
-    levels it builds; when the cap refuses that table, the build makes
-    slice(s) alone.
-    ``level`` returns a fresh view, so no level refers back to a set that
-    holds it and a dropped set is freed at once.
+    D is the maximum coordinate sum over A and e = gcd(D, gcd |a|).  The
+    record (module docstring): ``_apery[k]``, the Apery elements of level
+    k, dehomogenized; ``_gaps``, the gap points of natural level at most
+    ``_built`` in rank order, with first levels ``_filled`` (inf while no
+    level holds one).  ``level`` returns a fresh view, so no level refers
+    back to a set that holds it and a dropped set is freed at once.
     """
 
     def __init__(self, d: int, points: Iterable[Sequence[int]],
@@ -262,12 +241,15 @@ class GeneratorSet:
                     f"generator set must contain {self.D}*e_{i + 1}")
         self.e = gcd(self.D, *(sum(p) for p in self.points if sum(p)))
         self.max_slice_size = max_slice_size
-        self._slice: SimplexSlice | None = None
         self._built = -1  # no level built
-        self._first = np.zeros(0, dtype=np.int32)
         self._stable = False
-        # the nonzero generators; self.points has the origin first
+        self._apery: list[np.ndarray] = []
+        self._gaps = self._residues = np.zeros((0, d), dtype=np.int64)
+        self._filled = np.zeros(0)
+        # the nonzero generators (self.points has the origin first), and
+        # the steps D*e_i
         self._gens = np.array(self.points[1:], dtype=np.int64).reshape(-1, d)
+        self._steps = self.D * np.eye(d, dtype=np.int64)
 
     # -- sumsets --------------------------------------------------------
 
@@ -278,34 +260,44 @@ class GeneratorSet:
             return SumsetLevel(self, s)  # built, or its slice minus the gaps
         # slices grow with s, so this covers every level built below
         capped_slice_size(self.d, self.D, s, self.e, self.max_slice_size)
+        if (s * self.D + 1) ** self.d > np.iinfo(np.int64).max:
+            raise ResourceLimitError(f"points of level s={s} have no int64 "
+                                     f"key in dimension {self.d}")
+        # the residues (every coordinate below D) of the levels to build,
+        # from the slice the cap allowed; none lie above L0 = ceil(d(D-1)/D)
+        top = min(s, -(-self.d * (self.D - 1) // self.D))
+        if top > self._built:
+            sl = SimplexSlice(self.d, self.D, top, self.e, self.max_slice_size)
+            box = sl.unrank(np.arange(sl.size))
+            self._residues = box[(box < self.D).all(axis=1)]
         while not self._stable and self._built < s:
             self._next_level()
         return SumsetLevel(self, s)
 
     @property
     def stable_level(self) -> int | None:
-        """The level where the gaps became final (see ``_next_level``),
-        or None while no level built proves them final."""
+        """The level that proved the gaps final (``_next_level``), or None."""
         return self._built if self._stable else None
 
-    def _rank_table(self, s: int) -> SimplexSlice:
-        """The rank table that a build of level s past the current one
-        makes: slice(2s + 2), so it holds twice the levels built, or
-        slice(s) when the cap refuses that."""
-        try:
-            return SimplexSlice(self.d, self.D, 2 * s + 2, self.e,
-                                self.max_slice_size)
-        except ResourceLimitError:
-            return SimplexSlice(self.d, self.D, s, self.e, self.max_slice_size)
+    @property
+    def last_fill(self) -> int:
+        """The last built level that fills a gap of a lower one, or 0."""
+        return int(self._filled[np.isfinite(self._filled)].max(initial=0))
 
     def _next_level(self) -> SumsetLevel:
-        """Builds level s from the points F new at level s - 1: as 0 is
-        in A, sA = (s-1)A + A = (s-1)A | (F + A).  The shifts F + a of
-        the nonzero generators a are stacked into batches of
-        max(|F|, _BATCH_ROWS) // |F| generators, and each batch is ranked
-        and scattered at once.  So every array the build allocates holds
-        about max(|F|, _BATCH_ROWS)*d entries: |F|*d <= |slice(s)|*d,
-        which the slice cap bounds, or _BATCH_ROWS*d on a small level.
+        """Builds level s.  A point y of slice(s) is in sA iff it is in
+        Ap_s or reached: y or a y - D*e_i in (s-1)A, so in slice(s-1) and
+        no gap of level s - 1, a lookup in the record.  So:
+        - Ap_s is the points of Ap_(s-1) + a, a a nonzero generator, that
+          are not reached (b + a - D*e_j in S, b in Ap_(s-1), would put
+          b - D*e_j in S; a vertex a reaches b + a);
+        - a gap g of level s - 1 is filled iff it is in Ap_s or a
+          g - D*e_i, not in (s-2)A as g is not in (s-1)A, was filled at
+          level s - 1;
+        - a point y of the new shell is a gap iff it is not in Ap_s and
+          each y - D*e_i is a gap of natural level s - 1: y is a residue,
+          every coordinate below D, or is such a gap shifted by D*e_i
+          once for each i with y_i >= D.
 
         The set is then stable, its gaps final, if s >= L0 =
         ceil(d(D-1)/D) and level s has exactly the gaps of level s - 1:
@@ -317,29 +309,73 @@ class GeneratorSet:
         - were a gap g filled at level s + 1 as g = x + a, x in sA, then
           x, in slice(s-1), would be no gap of level s, so of level s - 1,
           and lie in (s-1)A.  That puts g in sA, a contradiction.
+        No later level has an Apery element: it would be a gap one level
+        down, so a hole, or a new shell point, so reached.
         """
-        s = self._built + 1
-        if self._slice is None or s > self._slice.s:
-            self._slice = self._rank_table(s)
-        sl = self._slice
-        old = len(self._first)  # |slice(s-1)|, 0 at s = 0
-        first = np.full(sl.level_size(s), _UNSEEN, dtype=np.int32)
-        first[:old] = self._first
-        if s == 0:
-            first[0] = 0  # the origin
-        else:
-            frontier = sl.unrank(np.flatnonzero(self._first == s - 1))
-            step = max(1, batch_bound(len(frontier)) // len(frontier))
-            for j in range(0, len(self._gens), step):
-                shifts = frontier[None] + self._gens[j:j + step, None]
-                ranks = sl.rank_array(shifts.reshape(-1, self.d))
-                first[ranks[first[ranks] == _UNSEEN]] = s  # repeats write s
-        self._stable = bool(s * self.D >= self.d * (self.D - 1)
-                            and (first[old:] != _UNSEEN).all()
-                            and not (first[:old] == s).any())
-        self._first = first
+        s, d, D = self._built + 1, self.d, self.D
+        # one int64 key per point of slice(s), in rank order: its norm,
+        # then its coordinates from the last to the second, in radix s*D + 1
+        radix = s * D + 1
+        key = radix ** (d - 1) + np.append(0, radix ** np.arange(d - 1))
+        # the record, closed by an entry that no key matches
+        n = len(self._gaps)
+        known = np.concatenate((self._gaps @ key, [radix ** d]))
+        first = np.concatenate((self._filled, [0]))
+
+        def gap_at(keys):
+            """The record index of each key's gap of level s-1, else n."""
+            at = known.searchsorted(keys)
+            return np.where((known[at] == keys) & (first[at] > s - 1), at, n)
+
+        # Ap_(s-1) + a, each y - D*e_i of them (keys are linear), and the
+        # points filled at level s - 1 shifted by each D*e_i
+        points, keys = self._apery_shifts(key)
+        row, i = (points >= D).nonzero()
+        filler = known[:-1][self._filled == s - 1, None] + D * key
+        at = gap_at(np.concatenate((keys, keys[row] - D * key[i],
+                                    filler.ravel())))
+        own, back = at[:len(keys)], at[len(keys):len(keys) + len(row)]
+        free = (keys >= ((s - 1) * D + 1) * radix ** (d - 1)) | (own < n)
+        free[row[back == n]] = False
+        first[np.concatenate((own[free], at[len(keys) + len(row):]))] = s
+        apery, closed = points[free], np.append(keys[free], radix ** d)
+
+        # the gaps of natural level s - 1 follow those of lower ones
+        nat = known.searchsorted(((s - 2) * D + 1) * radix ** (d - 1))
+        top = self._gaps[nat:][self._filled[nat:] > s - 1]
+        norm = self._residues.sum(axis=1)
+        new = np.concatenate(((top[:, None] + self._steps).reshape(-1, d),
+                              self._residues[(norm > (s - 1) * D)
+                                             & (norm <= s * D)]))
+        new_keys, at, count = np.unique(new @ key, return_index=True,
+                                        return_counts=True)
+        new = new[at]
+        gap = ((count == np.maximum((new >= D).sum(axis=1), 1))
+               & (closed[closed.searchsorted(new_keys)] != new_keys))
+
+        self._stable = bool(s * D >= d * (D - 1) and not gap.any()
+                            and not (first[:-1] == s).any())
+        self._gaps = np.concatenate((self._gaps, new[gap]))
+        self._filled = np.append(first[:-1], np.full(gap.sum(), np.inf))
+        self._apery.append(apery)
         self._built = s
         return SumsetLevel(self, s)
+
+    def _apery_shifts(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points of Ap_(s-1) + a, a the nonzero generators, and their
+        keys, sorted (the origin at s = 0), keyed a batch of
+        max(|Ap_(s-1)|, _BATCH_ROWS) rows at a time and merged."""
+        if not self._apery:
+            return np.zeros((1, self.d), dtype=np.int64), key[:1] * 0
+        last = self._apery[-1]
+        step = max(1, batch_bound(len(last)) // max(len(last), 1))
+        points, keys = last[:0], key[:0]
+        for j in range(0, len(self._gens), step):
+            block = (last + self._gens[j:j + step, None]).reshape(-1, self.d)
+            keys, at = np.unique(np.concatenate((keys, block @ key)),
+                                 return_index=True)
+            points = np.concatenate((points, block))[at]
+        return points, keys
 
     def __repr__(self) -> str:
         return (f"GeneratorSet(d={self.d}, D={self.D}, e={self.e}, "
@@ -380,5 +416,5 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
     if s < 0:
         return False
     hi = SimplexSlice(d, D, s + 1, e, max_slice_size)
-    shell = hi.unrank(np.arange(hi.level_size(s), hi.size))
+    shell = hi.unrank(np.arange(slice_size(d, s * D, e), hi.size))
     return bool((shell >= D).any(axis=1).all())

@@ -5,12 +5,13 @@ complex T_y has nonvanishing reduced homology in degree i.  The
 enumeration stops at a certified cutoff: past level sigma+d+1 (smooth)
 or sigma+d+2 (one singular point) every complex is provably acyclic in
 all degrees up to d.  Below it only the rows whose T_y can carry
-homology get a face table, read off the gaps (see ``_sweep``), and no
-level above the one where the gaps become final is built: the generator
-set reads every higher level as its slice minus those gaps.  The sweep
-tables consecutive levels in batches bounded like the level build's
-(``lattice.batch_bound``), so a small instance takes one or two calls
-and a level over that bound is tabled on its own.
+homology get a face table: the gap shifts and the Apery elements (see
+``_sweep``).  No level above the one where the gaps become final is
+built: the generator set reads every higher level as its slice minus
+those gaps, with no Apery element.  The sweep tables consecutive
+levels in batches bounded like the level build's (``lattice.batch_bound``),
+so a small instance takes one or two calls and a level over that bound
+is tabled on its own.
 """
 
 from __future__ import annotations
@@ -82,64 +83,28 @@ def degree(A: GeneratorSet,
     return DegreeResult(theta, deg, codim)
 
 
-def _least_box_row(A: GeneratorSet, s: int, gaps: np.ndarray) -> np.ndarray:
-    """The lexicographically least y of sA whose homogenized coordinates
-    are all <= D - 1, as a (1, d+1) homogenized array, or a (0, d+1) one
-    if there is none.  Such a y has every y_j <= D - 1, norm in
-    ((s-1)*D, s*D] and e | |y|, and is no gap of level s: the candidates
-    are taken in lexicographic order, so at most one per gap is read.
-    Above level (d+1)(D-1)/D no y qualifies and no gap is read."""
-    d, D, e, lo, hi = A.d, A.D, A.e, (s - 1) * A.D, s * A.D
-
-    def completes(k, p):
-        """Whether k more coordinates in [0, D) take the norm p into
-        (lo, hi] and onto a multiple of e."""
-        n = max(lo + 1 - p, 0)
-        return n + (-(p + n)) % e <= min(hi - p, k * (D - 1))
-
-    def candidates(prefix, p):
-        k = d - len(prefix)
-        if not k:
-            yield prefix
-            return
-        for c in range(min(D, hi - p + 1)):
-            if completes(k - 1, p + c):
-                yield from candidates(prefix + (c,), p + c)
-
-    y = None
-    if completes(d, 0):
-        box_gaps = gaps[(gaps < D).all(axis=1) & (gaps.sum(axis=1) > lo)]
-        skip = set(map(tuple, box_gaps.tolist()))
-        y = next((y for y in candidates((), 0) if y not in skip), None)
-    return np.array([] if y is None else [(hi - sum(y),) + y],
-                    dtype=np.int64).reshape(-1, d + 1)
-
-
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
     0..max_level.  Each level and face table offers its least point,
     and the least homogenized y wins among those of the largest value.
     Level 0 always offers the empty complex.
 
-    Only the gap shifts and, in the low levels, a box row, with every
-    homogenized y_j <= D - 1, get a table: any other row of sA has the
-    full simplex on its nonempty {j : y_j >= D} as T_y (see
+    Only the gap shifts and the Apery elements, the box rows with every
+    homogenized y_j <= D - 1 among them, get a table: any other row of
+    sA has the full simplex on its nonempty {j : y_j >= D} as T_y (see
     ``face_tables_for_level``), so no least point with homology is lost.
-    A box row of sA is no gap shift either, so its T_y is the empty
-    complex: only the least one of each level is tabled, read off the
-    gaps with no level unranked (see ``_least_box_row``).
 
     One call tables a batch of consecutive levels, taken while their
     rows stay at most ``batch_bound`` of the first level's and their
     int64 sort key fits (``table_key_fits``).  Level s has rows[s] =
-    sum over t of |gaps[t]| * C(d+1, s-t) shift rows plus its box row,
-    read once when the batch rule first reaches s; gaps[t] is dropped
-    after its last batch, so a batch and d + 2 levels are held.
+    sum over t of |gaps[t]| * C(d+1, s-t) shift rows plus its Apery
+    elements, read once when the batch rule first reaches s; gaps[t] is
+    dropped after its last batch, so a batch and d + 2 levels are held.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
-    gaps, boxes, rows = [], [], []  # of the levels read so far
+    gaps, apery, rows = [], [], []  # of the levels read so far
     found = []  # (-value, y, i)
     lo = 0
     while lo <= max_level:
@@ -148,8 +113,8 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
             s = hi + 1
             if s == len(rows):  # first reached: read level s
                 gaps.append(A.level(s).gaps())
-                boxes.append(_least_box_row(A, s, gaps[s]))
-                rows.append(len(boxes[s]) + sum(
+                apery.append(A.level(s).apery())
+                rows.append(len(apery[s]) + sum(
                     len(gaps[t]) * comb(d + 1, s - t)
                     for t in range(max(0, s - d - 1), s + 1)))
             if s > lo and (n + rows[s] > batch_bound(rows[lo])
@@ -157,7 +122,7 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
                 break
             hi, n = s, n + rows[s]
         pts, tables = face_tables_for_level(
-            A, range(lo, hi + 1), np.concatenate(boxes[lo:hi + 1]), gaps)
+            A, range(lo, hi + 1), np.concatenate(apery[lo:hi + 1]), gaps)
         # the points are by level, each level's in lexicographic order,
         # so the first of a (level, table) pair is the least of that
         # level's points with that table; a point outside sA has table 0

@@ -4,14 +4,13 @@ For the supported families the iterated sumsets stabilize: there is a
 finite hole set H with sA = slice(s) \\ H for every large s.  The sumsets
 regularity sigma is the first level where that stable shape is reached
 and the simplex step property slice(s) + {0, D*e_i} = slice(s+1) holds.
+H and the levels that fill gaps are read off the ``lattice`` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .classify import ONE_SINGULAR, SMOOTH, ClassificationReport, classify
 from .errors import CertificationError, UnsupportedInstanceError
@@ -88,12 +87,13 @@ def sigma(A: GeneratorSet,
     The gaps of level s are slice(s) \\ sA.  Levels are built until the
     generator set proves its gaps final at ``stop = A.stable_level`` (see
     ``GeneratorSet._next_level``): every level from stop-1 on equals
-    slice \\ H, and H is the gaps of level stop.  So sigma = max(lower,
-    enclosing level of H, last level s <= stop with |sA| != |slice(s) \\ H|
-    plus one), and the levels [sigma, stop] are the ones checked point
-    for point.  The step property is monotone in s, so checking that it
-    holds at lower and fails at lower-1 certifies lower from both sides
-    and covers sigma and every level the argument uses.
+    slice \\ H, and H is the gaps of level stop.  A level below stop
+    differs from slice \\ H only by gaps that a later level fills, so
+    sigma = max(lower, enclosing level of H, the last level that fills a
+    gap, ``A.last_fill``), and the levels [sigma, stop] are the ones
+    checked point for point.  The step property is monotone in s, so
+    checking that it holds at lower and fails at lower-1 certifies lower
+    from both sides and covers sigma and every level the argument uses.
     """
     report = report or classify(A)
     A = report.instance
@@ -115,18 +115,14 @@ def sigma(A: GeneratorSet,
         raise CertificationError(
             f"smooth instance has {len(gaps)} gaps that never close")
 
-    # gaps come by norm first, and every one has norm <= (stop-1)*D
+    # every gap has norm <= (stop-1)*D
     norms = gaps.sum(axis=1)
     enclosing = int(-(-norms.max(initial=0) // A.D))
     if enclosing > max(bounds.t0, 0):
         raise CertificationError(
             f"a hole has norm {int(norms.max())} > t0*D = {bounds.t0 * A.D}")
 
-    missing = [lvl.size - lvl.cardinality
-               for lvl in map(A.level, range(stop + 1))]
-    stable = np.searchsorted(norms, A.D * np.arange(stop + 1), "right")
-    failing = np.flatnonzero(np.array(missing) != stable)
-    stable_at = max(enclosing, int(failing[-1]) + 1 if len(failing) else 0)
+    stable_at = max(enclosing, A.last_fill)
     if stable_at > bounds.stable_upper:
         raise CertificationError(
             f"sumsets stabilize at level {stable_at}, above the certified "

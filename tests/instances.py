@@ -1,6 +1,7 @@
 """Instances of the four generator families, and arbitrary generator
-sets, for hypothesis tests; face tables of one level, and two reference
-sweeps for ``regularity._sweep``."""
+sets, for hypothesis tests; face tables of one level, two reference
+sweeps for ``regularity._sweep`` and the dense level build that the
+Apery record of ``GeneratorSet`` replaced."""
 
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from toricreg import GeneratorSet, families, homogenize
 from toricreg.homology import face_tables_for_level, min_nonzero_degree
-from toricreg.lattice import unit
+from toricreg.lattice import SimplexSlice, slice_size, unit
 from toricreg.oracle import (homology_recheck, naive_faces,
                              naive_slice_points, naive_sumset)
 
@@ -95,3 +96,30 @@ def oracle_witness(A, levels, p=32003):
                 found.append((i + 1 - s, y, i))
     neg, y, i = min(found)
     return -neg, y, i
+
+
+def dense_levels(A, top):
+    """The dense level build that the Apery record replaced, on a fresh
+    copy of A: (gaps, stable) with gaps[s] the gaps of level s, in rank
+    order, for s = 0..top, and stable the first level s >= ceil(d(D-1)/D)
+    with the gaps of level s - 1, or None if no level up to top has them.
+
+    first[r] is the first level that holds the point of rank r of
+    slice(top); level s is built from the points F new at level s - 1,
+    as sA = (s-1)A | (F + A)."""
+    d, D, e = A.d, A.D, A.e
+    sl = SimplexSlice(d, D, top, e)
+    gens = np.array(A.points, dtype=np.int64)
+    first = np.full(sl.size, np.iinfo(np.int64).max)
+    first[0] = 0  # the origin
+    gaps, stable = [np.zeros((0, d), dtype=np.int64)], None
+    for s in range(1, top + 1):
+        old, size = (slice_size(d, t * D, e) for t in (s - 1, s))
+        frontier = sl.unrank(np.flatnonzero(first == s - 1))
+        ranks = sl.rank_array((frontier[None] + gens[:, None]).reshape(-1, d))
+        first[ranks[first[ranks] > s]] = s
+        gaps.append(sl.unrank(np.flatnonzero(first[:size] > s)))
+        if stable is None and s * D >= d * (D - 1) and np.array_equal(
+                gaps[s], gaps[s - 1]):
+            stable = s
+    return gaps, stable

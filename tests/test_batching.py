@@ -1,9 +1,9 @@
-"""The batched kernels: the level build ranks the shifts of many
+"""The batched kernels: the level build merges the Apery shifts of many
 generators at once, and the reg sweep tables many levels at once.
 ``lattice._BATCH_ROWS`` bounds both batches; set to 1, every level build
-runs one generator at a time and every sweep batch holds one level with
-rows, and small values split batches inside a level.  The records and
-the sweep must not depend on it."""
+shifts by one generator at a time and every sweep batch holds one level
+with rows, and small values split batches inside a level.  The records
+and the sweep must not depend on it."""
 
 import contextlib
 import functools
@@ -19,7 +19,7 @@ from toricreg import GeneratorSet, lattice, reg, regularity
 from toricreg.cli import analysis_bundle
 from toricreg.families import (minimal_smooth, quartic_singular_surface,
                                veronese)
-from toricreg.lattice import _UNSEEN, SimplexSlice
+from toricreg.lattice import SimplexSlice
 from toricreg.oracle import naive_sumset
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
@@ -52,15 +52,11 @@ def sweep_batches():
 
 
 def level_rows(A, s):
-    """The rows the sweep builds for level s: every gap shift and, in the
-    low levels, the least box row, if the level has one."""
-    d, D = A.d, A.D
-    n = sum(len(A.level(t).gaps()) * comb(d + 1, s - t)
-            for t in range(max(0, s - d - 1), s + 1))
-    if s * D <= (d + 1) * (D - 1):
-        y = A.level(s).points
-        n += int(((y < D).all(axis=1) & (y.sum(axis=1) > s * D - D)).any())
-    return n
+    """The rows the sweep builds for level s: every gap shift and every
+    Apery element of the level."""
+    return len(A.level(s).apery()) + sum(
+        len(A.level(t).gaps()) * comb(A.d + 1, s - t)
+        for t in range(max(0, s - A.d - 1), s + 1))
 
 
 class TestSmallBatches:
@@ -68,98 +64,104 @@ class TestSmallBatches:
            st.sampled_from(SMALL_BATCHES))
     @settings(max_examples=60, deadline=None)
     def test_first_record_matches_naive_sumsets(self, A, top, batch):
+        # the record: each level's Apery elements, and each gap point with
+        # its first level, the least level that holds it
         with batch_rows(batch):
             A.level(top)
         top = A._built  # a set whose gaps became final stops early
-        size = A.level(top).size
-        expected = np.full(size, _UNSEEN, dtype=np.int32)
-        pts = A._slice.unrank(np.arange(size)).tolist()
-        for s in range(top, -1, -1):
-            level = naive_sumset(A.points, s)
-            expected[[tuple(p) in level for p in pts]] = s
+        levels = [naive_sumset(A.points, s) for s in range(top + 1)]
+        for s, level in enumerate(levels):
             assert set(map(tuple, A.level(s).points.tolist())) == level
-        assert A._first.tolist() == expected.tolist()
+        for y, first in zip(A._gaps.tolist(), A._filled.tolist()):
+            held = [s for s, level in enumerate(levels) if tuple(y) in level]
+            assert first == min(held, default=np.inf), (A, y)
         B = GeneratorSet(A.d, A.points)
         with batch_rows(1):  # one generator per batch
             B.level(top)
-        assert B._first.tobytes() == A._first.tobytes()
+        assert B._gaps.tobytes() == A._gaps.tobytes()
+        assert B._filled.tobytes() == A._filled.tobytes()
+        assert [b.tobytes() for b in B._apery] == [
+            a.tobytes() for a in A._apery]
 
     def test_a_small_batch_splits_a_level(self, monkeypatch):
-        # veronese(2, 4) has 14 nonzero generators and level 1 adds them
-        # all, so a batch of 64 rows ranks level 2 four generators at a
-        # time: 4 lookups, where one per generator would be 14
-        calls = []
-        rank = SimplexSlice.rank_array
-        monkeypatch.setattr(SimplexSlice, "rank_array", lambda sl, pts: (
-            calls.append(len(pts)), rank(sl, pts))[1])
+        # veronese(2, 4) has 14 nonzero generators, and level 1 holds the
+        # 12 off the vertices as Apery elements, so a batch of 64 rows
+        # shifts them by 5 generators at a time: 3 merges, where one batch
+        # of max(12, _BATCH_ROWS) rows takes all 14
+        builds = record_batches(monkeypatch)
         A = veronese(2, 4)
         A.level(1)
         with batch_rows(64):
-            calls.clear()
+            builds.clear()
             A.level(2)
-        assert calls == [56, 56, 56, 28]
+        assert builds == [(12, [5, 5, 4])]
+        B = veronese(2, 4)
+        B.level(1)
+        builds.clear()
+        B.level(2)
+        assert builds == [(12, [14])]
 
 
-def wrap_level_build(monkeypatch):
-    """Wraps the level build.  During a call, ``stack`` holds [rows,
-    lookups] for it, with rows = |F|, the points new at the top level
-    (the rows of one generator's shifts), and lookups a counter for the
-    test to raise; ``done`` gets the entry when the call returns."""
-    stack, done = [], []
-    build = GeneratorSet._next_level
+class Batches(np.ndarray):
+    """A view of the generators that records how many each batch takes."""
 
-    @functools.wraps(build)
-    def wrapper(A):
-        stack.append([int(np.count_nonzero(A._first == A._built)), 0])
+    def __getitem__(self, index):
+        out = super().__getitem__(index).view(np.ndarray)
+        self.taken.append(len(out))
+        return out
+
+
+def record_batches(monkeypatch):
+    """Wraps the Apery shifts of the level build.  ``builds`` gets, per
+    call above level 0, (|Ap_(s-1)|, the generators of each batch): a
+    batch holds that many copies of Ap_(s-1).  While a call runs,
+    ``builds`` ends with None."""
+    builds = []
+    shifts = GeneratorSet._apery_shifts
+
+    @functools.wraps(shifts)
+    def wrapper(A, key):
+        if not A._apery:  # level 0 shifts nothing
+            return shifts(A, key)
+        gens = A._gens
+        A._gens = gens.view(Batches)
+        A._gens.taken = []
+        builds.append(None)
         try:
-            return build(A)
+            return shifts(A, key)
         finally:
-            done.append(stack.pop())
+            builds[-1] = (len(A._apery[-1]), A._gens.taken)
+            A._gens = gens
 
-    monkeypatch.setattr(GeneratorSet, "_next_level", wrapper)
-    return stack, done
+    monkeypatch.setattr(GeneratorSet, "_apery_shifts", wrapper)
+    return builds
 
 
 class TestBatchGuards:
-    def test_no_lookup_holds_more_than_the_unbatched_rows(self, monkeypatch):
-        # a rank lookup holds at most max(|F|, _BATCH_ROWS) rows, |F| the
-        # rows of one generator's shifts, and only the level build ranks
-        stack, _ = wrap_level_build(monkeypatch)
-        seen = []
-        rank = SimplexSlice.rank_array
-
-        def ranked(sl, pts):
-            assert stack, "a rank lookup outside the level build"
-            seen.append((len(pts), stack[0][0]))
-            return rank(sl, pts)
-
-        monkeypatch.setattr(SimplexSlice, "rank_array", ranked)
-        analysis_bundle(minimal_smooth(4, 4), "q", None)
-        assert all(rows <= max(m, lattice._BATCH_ROWS) for rows, m in seen)
-        assert max(rows - m for rows, m in seen) > 0  # batches were stacked
+    def test_no_lookup_holds_more_than_the_unbatched_rows(self):
+        # a batch holds at most max(m, _BATCH_ROWS) rows, m = |Ap_(s-1)|
+        # the rows of one generator's shifts
+        with pytest.MonkeyPatch.context() as mp:
+            builds = record_batches(mp)
+            analysis_bundle(minimal_smooth(4, 4), "q", None)
+        rows = [(k * m, m) for m, taken in builds for k in taken]
+        assert all(n <= max(m, lattice._BATCH_ROWS) for n, m in rows)
+        assert max(n - m for n, m in rows) > 0  # batches were stacked
 
     def test_one_lookup_per_level_and_per_face_table(self, monkeypatch):
-        # veronese(3, 3) has 19 nonzero generators, and each of its
-        # batches fits in one: a level build ranks once (level 0 holds
-        # the origin and ranks nothing), and the face tables, read off
-        # the gaps, rank nothing
-        stack, done = wrap_level_build(monkeypatch)
-        outside = []
+        # veronese(3, 3) has 19 nonzero generators, and each level's
+        # shifts fit in one batch: a level build above level 0 merges
+        # once, and nothing, face tables included, ranks a point
+        builds = record_batches(monkeypatch)
+        ranked = []
         rank = SimplexSlice.rank_array
-
-        def counted(sl, pts):
-            if stack:
-                stack[-1][1] += 1
-            else:
-                outside.append(len(pts))
-            return rank(sl, pts)
-
-        monkeypatch.setattr(SimplexSlice, "rank_array", counted)
+        monkeypatch.setattr(SimplexSlice, "rank_array", lambda sl, pts: (
+            ranked.append(len(pts)), rank(sl, pts))[1])
         A = veronese(3, 3)
         analysis_bundle(A, "q", None)
-        assert len(done) == A.stable_level + 1 > 2
-        assert [n for _, n in done] == [0] + [1] * A.stable_level
-        assert outside == []
+        assert len(builds) == A.stable_level > 1
+        assert [taken for _, taken in builds] == [[19]] * len(builds)
+        assert ranked == []
 
 
 class TestSweepBatches:
@@ -200,24 +202,22 @@ class TestSweepBatches:
                              ids=["quartic", "minimal_smooth(3,4)"])
     def test_each_level_is_read_once(self, make, monkeypatch):
         # however many batches share a level, the sweep reads its gaps
-        # once, and its least box row at most once
+        # and its Apery elements once
         A = make()
         top = reg(A).cutoff_norm // A.D
         reads = []
-        gaps, box = lattice.SumsetLevel.gaps, regularity._least_box_row
-        monkeypatch.setattr(lattice.SumsetLevel, "gaps", lambda level: (
-            reads.append(("gaps", level.s)), gaps(level))[1])
-        monkeypatch.setattr(regularity, "_least_box_row", lambda A, s, g: (
-            reads.append(("box", s)), box(A, s, g))[1])
+        for kind in ("gaps", "apery"):
+            read = getattr(lattice.SumsetLevel, kind)
+            monkeypatch.setattr(
+                lattice.SumsetLevel, kind,
+                lambda level, kind=kind, read=read: (
+                    reads.append((kind, level.s)), read(level))[1])
         with batch_rows(1), sweep_batches() as batches:
             regularity._sweep(A, top, "q")
         assert len(batches) > 1
-        assert sorted(s for kind, s in reads if kind == "gaps") == list(
-            range(top + 1))
-        boxed = sorted(s for kind, s in reads if kind == "box")
-        assert len(set(boxed)) == len(boxed)
-        assert set(boxed) >= {s for s in range(top + 1)
-                              if s * A.D <= (A.d + 1) * (A.D - 1)}
+        for kind in ("gaps", "apery"):
+            assert sorted(s for k, s in reads if k == kind) == list(
+                range(top + 1))
 
     def test_gaps_of_a_few_levels_are_held(self):
         # a long d = 1 chain has 201 levels with gaps: the sweep holds a

@@ -16,12 +16,12 @@ from toricreg import (GeneratorSet, InvalidInstanceError, PreconditionError,
                       step_threshold)
 from toricreg.families import (minimal_smooth, quartic_singular_surface,
                                veronese)
-from toricreg.lattice import _UNSEEN, SimplexSlice, slice_size, unit
+from toricreg.lattice import SimplexSlice, slice_size, unit
 from toricreg.oracle import (MAX_NAIVE_GENERATORS, naive_member,
                              naive_slice_points, naive_sumset)
 
-from instances import (FAMILIES, arbitrary_sets, family_instance,
-                       members)
+from instances import (FAMILIES, arbitrary_sets, dense_levels,
+                       family_instance, members)
 
 
 class TestSimplexSlice:
@@ -104,9 +104,9 @@ class TestSimplexSlice:
         e = data.draw(st.sampled_from(
             [e for e in range(1, D + 1) if D % e == 0]))
         sl = SimplexSlice(d, D, top, e)
-        assert [sl.level_size(s) for s in range(top + 1)] == [
+        assert [int(sl._last[s * D]) + 1 for s in range(top + 1)] == [
             slice_size(d, s * D, e) for s in range(top + 1)]
-        assert sl.level_size(top) == sl.size
+        assert sl._last[-1] + 1 == sl.size
 
     @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 3),
            st.sampled_from(["1", "2", "D"]), st.data())
@@ -160,12 +160,14 @@ class TestGeneratorSet:
 
     def test_construction_is_lazy(self, quartic):
         A = GeneratorSet(quartic.d, quartic.points)
-        assert A._built == -1 and not A._first.size
+        assert A._built == -1 and not A._apery and not len(A._gaps)
         A.level(2)
-        assert A._built == 2
-        assert len(A._first) == A._slice.level_size(2) == A.level(2).size
-        seen = A._first[A._first != _UNSEEN]
-        assert np.bincount(seen).tolist() == [1, 6, 17]  # per-level counts
+        assert A._built == len(A._apery) - 1 == 2
+        # per level: the Apery elements, the gaps, and those filled later
+        assert [len(A.level(s).apery()) for s in range(3)] == [1, 4, 6]
+        assert [len(A.level(s).gaps()) for s in range(3)] == [0, 2, 1]
+        assert A._gaps.tolist() == [[1, 1], [2, 2]]
+        assert A._filled.tolist() == [np.inf, 2]
 
     @pytest.mark.parametrize("points,stable", [
         ([(0, 0), (0, 2), (0, 4), (1, 3), (2, 0), (3, 1), (4, 0)], 3),
@@ -186,9 +188,9 @@ class TestGeneratorSet:
         assert A.stable_level == A._built == stable
 
     def test_levels_keep_one_rank_table(self):
-        # slice(s) is a prefix of slice(s+1) with the same ranks, so the
-        # top slice's tables serve every level; one table per level would
-        # hold O(s^2 * D) words on this chain
+        # the levels key their points without a rank table, so a long
+        # chain holds no table at all; one table per level would hold
+        # O(s^2 * D) words on this chain
         tracemalloc.start()
         try:
             A = minimal_smooth(1, 500)
@@ -200,9 +202,10 @@ class TestGeneratorSet:
         assert A._built == 150
 
     def test_a_set_makes_log_many_rank_tables(self, monkeypatch):
-        # a table past the built levels is made only when a build
-        # outgrows it, and then holds twice the levels built, so n built
-        # levels take at most ceil(log2 n) + 1 tables
+        # a request makes one slice, of level min(s, ceil(d(D-1)/D)), to
+        # draw the residues of the levels it builds, and none once they
+        # are drawn: far fewer than the ceil(log2 n) + 1 tables that n
+        # built levels may take
         made = []
 
         class Counted(SimplexSlice):
@@ -212,19 +215,18 @@ class TestGeneratorSet:
 
         monkeypatch.setattr(lattice, "SimplexSlice", Counted)
         A = minimal_smooth(3, 6)
+        A.level(1)
         A.level(30)
         n = A._built + 1
         assert A.stable_level == A._built == 13
+        assert made == [1, 3]
         assert len(made) <= math.ceil(math.log2(n)) + 1
-        assert all(b >= 2 * a for a, b in zip(made, made[1:]))
         assert [A.level(s).size for s in range(n)] == [
             slice_size(3, 6 * s) for s in range(n)]
 
-    def test_gaps_are_read_through_the_rank_table(self, quartic,
-                                                  monkeypatch):
+    def test_gaps_are_read_with_no_slice(self, quartic, monkeypatch):
         # from the stable level up, every level's gaps are the final
-        # ones, read off the record through the set's table: no slice
-        # above the table is made to read them
+        # ones, read off the record: no slice is made to read them
         A = GeneratorSet(quartic.d, quartic.points)
         A.level(5)
         stop = A.stable_level
@@ -238,6 +240,7 @@ class TestGeneratorSet:
         monkeypatch.setattr(lattice, "SimplexSlice", Counted)
         for s in (stop, stop + 1, 5, 1000):
             assert A.level(s).gaps().tolist() == [[1, 1]], s
+            assert not len(A.level(s).apery()), s
         assert made == []
 
     @pytest.mark.parametrize("make", [
@@ -245,38 +248,46 @@ class TestGeneratorSet:
         lambda: GeneratorSet(1, [(0,), (1,), (5,), (6,), (7,), (8,), (9,)]),
     ])
     def test_capped_rank_tables_keep_the_record(self, make):
-        # a cap that allows every level built but refuses slice(2s + 2)
-        # makes the build fall back to a smaller rank table; the record,
-        # the sizes, the gaps and the stable level stay those of the
-        # uncapped set
+        # a cap that allows the slices up to the stable level and no
+        # more: no build makes a rank table above its own level, so the
+        # record, the sizes, the gaps and the stable level stay those of
+        # the uncapped set
         free = make()
         d, points = free.d, free.points
         free.level(40)
         top = free.stable_level
         cap = max(slice_size(d, top * free.D, free.e), top * free.D + 1)
         capped = GeneratorSet(d, points, max_slice_size=cap)
+        with pytest.raises(ResourceLimitError):
+            GeneratorSet(d, points, max_slice_size=cap - 1).level(top)
         capped.level(top)
-        assert capped._slice.s == capped._built < free._slice.s
         assert capped.stable_level == top
-        assert np.array_equal(capped._first, free._first)
+        assert np.array_equal(capped._gaps, free._gaps)
+        assert np.array_equal(capped._filled, free._filled)
         for s in list(range(top + 3)) + [40]:
             a, b = capped.level(s), free.level(s)
             assert (a.size, a.cardinality) == (b.size, b.cardinality), s
             assert np.array_equal(a.gaps(), b.gaps()), s
+            assert np.array_equal(a.apery(), b.apery()), s
 
-    def test_level_build_is_bounded_by_its_slice(self):
-        # the frontier's shifts are ranked in batches of max(|F|,
-        # _BATCH_ROWS) rows, so no |F| x |A| candidate block exists; that
-        # block peaked at 54 times slice * d * 8 bytes here
-        A = veronese(3, 6)
-        A.level(7)
-        tracemalloc.start()
-        try:
-            A.level(8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * A.level(8).size * A.d * 8
+    def test_level_build_is_bounded_by_its_slice(self, monkeypatch):
+        # veronese(4, 5) has 125 nonzero generators, and level 1 holds the
+        # 121 off the vertices as Apery elements: one generator per batch,
+        # level 2 merges the shifts into at most |slice(2)| points, and no
+        # block of all 121 * 125 shifts exists, as it does with one batch
+        def peak(rows):
+            monkeypatch.setattr(lattice, "_BATCH_ROWS", rows)
+            A = veronese(4, 5)
+            A.level(1)
+            tracemalloc.start()
+            try:
+                A.level(2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = 121 * 125 * 4 * 8
+        assert peak(1) < block < peak(1 << 14)
 
     def test_dropped_set_is_freed_without_the_cycle_collector(self, quartic):
         # a level view must not be kept by its generator set: a reference
@@ -409,7 +420,8 @@ class TestGeneratorSet:
         report = classify(A)
         holes = sigma(A, report).holes
         A = report.instance
-        stop, far = A.stable_level, 2 * A._slice.s + A.d + 3
+        stop = A.stable_level
+        far = 2 * stop + A.d + 5
         expected = [slice_size(A.d, s * A.D, A.e) - len(holes)
                     for s in range(far + 1)]
         for s in list(range(stop, stop + A.d + 3)) + [far]:
@@ -417,6 +429,71 @@ class TestGeneratorSet:
             assert set(map(tuple, level.gaps().tolist())) == holes, s
             assert level.cardinality == expected[s], s
         assert hilbert_function(A, far)[stop:] == expected[stop:]
+
+
+class TestAperyRecord:
+    @given(st.one_of(
+        arbitrary_sets(),
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 3), st.integers(2, 6),
+                  st.sampled_from([1, 2, 3, 6]), st.integers(0, 2**16))))
+    @settings(max_examples=100, deadline=None)
+    def test_levels_match_the_dense_build(self, A):
+        # every verdict: up to d + 2 levels past the stable one, or up to
+        # level 6 when no level up to 6 makes the set stable
+        A.level(6)
+        stop = A.stable_level
+        top = 6 if stop is None else stop + A.d + 2
+        gaps, stable = dense_levels(A, top)
+        assert A.stable_level == stable, A
+        for s in range(top + 1):
+            level = A.level(s)
+            assert np.array_equal(level.gaps(), gaps[s]), (A, s)
+            assert level.cardinality == level.size - len(gaps[s]), (A, s)
+
+    @given(st.one_of(
+        arbitrary_sets(max_d=2, max_D=5),
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 2), st.integers(2, 4),
+                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16))),
+        st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_apery_set_is_certified_by_the_oracle(self, A, top):
+        # no Apery element y has y - D*e_j in S, and every element of the
+        # sumsets up to level top lies above one of its class: the Apery
+        # elements up to that level, which are all that can lie below it
+        assume(len(A.points) <= MAX_NAIVE_GENERATORS)
+        A.level(top)
+        B, D = homogenize(A), A.D
+        apery = [tuple(y) for s in range(top + 1)
+                 for y in A.level(s).apery().tolist()]
+        assert apery[0] == (0,) * (A.d + 1)
+        for y in apery:
+            assert naive_member(B, y), (A, y)
+            for j in range(A.d + 1):
+                assert not naive_member(
+                    B, [c - D * (i == j) for i, c in enumerate(y)]), (A, y, j)
+        for s in range(top + 1):
+            for x in naive_sumset(A.points, s):
+                y = (s * D - sum(x),) + x
+                assert any(all(c >= b and (c - b) % D == 0
+                               for c, b in zip(y, b)) for b in apery), (A, y)
+
+    def test_cap_precedes_any_allocation(self):
+        # slice(1) holds 4 points over 20001 norms: level 0 answers, and
+        # level 1 is refused before a table or a residue grid of D^d
+        # entries is made
+        A = GeneratorSet(2, [(0, 0), (20000, 0), (0, 20000)],
+                         max_slice_size=100)
+        tracemalloc.start()
+        try:
+            assert A.level(0).cardinality == 1
+            with pytest.raises(ResourceLimitError, match="s=1 "):
+                A.level(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestStepProperty:

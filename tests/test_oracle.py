@@ -29,8 +29,8 @@ def package_imports(source: str) -> set[str]:
 
 
 #: The slice-rank machinery of ``lattice``, which no other module may use.
-RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_first", "_slice",
-              "_UNSEEN", "_stable"}
+RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_apery", "_gaps",
+              "_filled", "_stable"}
 
 
 def rank_uses(source: str) -> set[str]:
@@ -71,9 +71,9 @@ class TestRanksStayInLattice:
     def test_rank_checker(self):
         assert rank_uses("pts = A.slice(s - 2).unrank(gaps)") == {
             ".slice(", "unrank"}
-        assert rank_uses("from .lattice import _UNSEEN, SimplexSlice") == {
-            "_UNSEEN", "SimplexSlice"}
-        assert rank_uses('"""unrank through A._slice"""\nx = lvl.gaps()') \
+        assert rank_uses("from .lattice import _gaps, SimplexSlice") == {
+            "_gaps", "SimplexSlice"}
+        assert rank_uses('"""unrank through A._filled"""\nx = lvl.gaps()') \
             == set()
 
     def test_private_name_checker(self):

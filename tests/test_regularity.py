@@ -207,7 +207,7 @@ class TestReg:
         families.quartic_singular_surface, lambda: minimal_smooth(4, 4),
         lambda: one_singular_random(3, 6, 2, random.Random(3062))])
     def test_reg_after_sigma_lists_no_level(self, make, monkeypatch):
-        # the box rows are read off the gaps, not off a level's points
+        # the Apery rows are read off the record, not off a level's points
         A = make()
         report = classify(A)
         sr = sigma(A, report)

@@ -134,6 +134,16 @@ class TestSigma:
         A.level(60)
         assert sigma(A) == fresh
 
+    @pytest.mark.parametrize("make,holes", [
+        (lambda: minimal_smooth(7, 3), 0),
+        (lambda: one_singular_random(6, 4, 2, random.Random(6042)), 565)],
+        ids=["minimal_smooth(7,3)", "one_singular(6,4,2)"])
+    def test_dimension_six_and_up(self, make, holes):
+        # sigma alone runs where analyze refuses the face tables of reg
+        result = sigma(make())
+        assert result.sigma == 7 and result.window_verified == (7, 8)
+        assert len(result.holes) == holes
+
     def test_low_gap_filled_late(self):
         # 4 = 1+1+1+1 is a gap of level 3 below norm D that fills at
         # level 4, so a settled norm alone does not make the gaps final
