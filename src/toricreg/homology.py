@@ -4,20 +4,18 @@ For y in the semigroup S_A (homogenized coordinates), T_y has vertex j
 when y - D*e_j stays in S_A, and more generally face F when the whole
 sum over F can be subtracted.  ``face_tables_for_level`` reads these
 faces off the gaps of the sumset levels alone, with no membership
-query, for a range of consecutive levels at once: one int64 key per
-row, its level above the range's first and then its dehomogenized
-coordinates, sorts and merges every row of the range in one pass
-(``table_key_fits`` says when the key fits).  Reduced homology of
-these complexes drives the regularity formula; the empty face is kept
-as the single (-1)-cell, so the void-looking complex {emptyset} has
-betti_{-1} = 1.
+query, one level at a time: one int64 key per row, its dehomogenized
+coordinates, sorts and merges every row of the level in one pass.
+Reduced homology of these complexes drives the regularity formula; the
+empty face is kept as the single (-1)-cell, so the void-looking complex
+{emptyset} has betti_{-1} = 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -95,82 +93,63 @@ def check_face_table_dimension(d: int) -> None:
             f"face tables support at most 6 vertices (d = {d})")
 
 
-def table_key_fits(A: GeneratorSet, levels: range) -> bool:
-    """Whether the rows of ``levels`` have an int64 sort key in
-    ``face_tables_for_level``: the level above the first, then the d
-    dehomogenized coordinates, in radix max_level*D + 1."""
-    radix = levels[-1] * A.D + 1
-    return len(levels) * radix ** A.d <= np.iinfo(np.int64).max
-
-
-def face_tables_for_level(A: GeneratorSet, levels: range, rows: np.ndarray,
-                          gaps: Sequence[np.ndarray]
+def face_tables_for_level(A: GeneratorSet, s: int, rows: np.ndarray,
+                          gaps: Mapping[int, np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """T_y face families of the rows and gap shifts of a range of levels.
+    """T_y face families of the rows and gap shifts of level s.
 
     Take y in slice(s), homogenized with y0 = s*D - |y|.  Its vertex
     subset F leaves y - D*e_F in slice(s - |F|) iff y_j >= D on F, and
     then in S_A iff that point is no gap of level s - |F|.  So T_y is
     the full simplex on {j : y_j >= D} minus the faces F that land on a
     gap, at y = g + D*e_F: no membership query is needed.  ``gaps[t]``
-    is level t's gaps (dehomogenized), read only for t from lo - d - 1
-    to hi, and ``levels`` = lo..hi is a range of consecutive levels, all
-    tabled at once.  ``rows`` are homogenized points, each in the slice
-    of its level |y| / D.
+    is level t's gaps, read only for t from s - d - 1 to s, and ``rows``
+    are points of slice(s), such as the level's Apery elements, all
+    dehomogenized.
 
     Returns (points, tables): the distinct rows and gap shifts,
-    homogenized, by level and inside a level in lexicographic order of
-    their dehomogenized part, and a uint64 per point whose bit m says
-    whether the vertex subset with mask m is a face (bit 0 =
+    dehomogenized, in lexicographic order, and a uint64 per point whose
+    bit m says whether the vertex subset with mask m is a face (bit 0 =
     homogenizing coordinate), so nonnegative with the 6-vertex face
     (bit 63) too.  A point outside sA reads 0: a face would put it in sA.
     """
     d, D = A.d, A.D
     check_face_table_dimension(d)
-    lo, hi = levels[0], levels[-1]
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, d + 1)
-    norms = rows.sum(axis=1)
-    if ((rows < 0).any() or (norms % D).any() or (norms < lo * D).any()
-            or (norms > hi * D).any() or ((norms - rows[:, 0]) % A.e).any()):
-        raise PreconditionError(f"a row is not in the level-{lo}..{hi} "
-                                f"slices")
-    if not table_key_fits(A, levels):
-        raise ResourceLimitError(f"levels {lo}..{hi} rows have no int64 key "
-                                 f"in dimension {d}")
-    # one int64 key per row: its level above lo, then its dehomogenized
-    # part, in radix hi*D + 1; a gap g of level t shifted by D*e_F has
-    # the key of g plus the key of the shift, which F alone fixes
-    radix = hi * D + 1
-    top = radix ** d
+    # one int64 key per row: its coordinates in radix s*D + 1; a gap g of
+    # level s - |F| shifted by D*e_F has the key of g plus the key of the
+    # shift, which F alone fixes
+    radix = s * D + 1
+    if radix ** d > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"level {s} rows have no int64 key in "
+                                 f"dimension {d}")
     w = radix ** np.arange(d - 1, -1, -1)
     f = np.arange(2 << d)  # vertex subsets
     bits = f[:, None] >> np.arange(d + 1) & 1
     size = bits.sum(axis=1)
     shift = D * bits[:, 1:] @ w
     face = np.uint64(1) << f.astype(np.uint64)
-    keys = [(norms // D - lo) * top + rows[:, 1:] @ w]
+    keys = [rows @ w]
     cleared = [np.zeros(len(rows), dtype=np.uint64)]
-    for t in range(max(0, lo - d - 1), hi + 1):
+    for t in range(max(0, s - d - 1), s + 1):
         g = gaps[t]
         if not len(g):
             continue
-        m = np.flatnonzero((size >= lo - t) & (size <= hi - t))
-        keys.append((((t - lo + size[m]) * top + shift[m])[:, None]
-                     + g @ w).ravel())
+        m = np.flatnonzero(size == s - t)
+        keys.append((shift[m, None] + g @ w).ravel())
         cleared.append(np.repeat(face[m], len(g)))
     keys, cleared = np.concatenate(keys), np.concatenate(cleared)
     order = np.argsort(keys)
     start = np.flatnonzero(np.diff(keys[order], prepend=-1))
     cleared = np.bitwise_or.reduceat(cleared[order], start)
     keys = keys[order[start]]
-    pts = np.empty((len(keys), d + 1), dtype=np.int64)
-    for j in range(d, 0, -1):
+    pts = np.empty((len(keys), d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
         keys, pts[:, j] = np.divmod(keys, radix)
-    pts[:, 0] = (keys + lo) * D - pts[:, 1:].sum(axis=1)  # homogenized
     # full[v]: every subset of the vertex set v that y allows, bit j for
     # homogenized y_j >= D
     full = np.where(f[:, None] & f == f, face, 0).sum(axis=1, dtype=np.uint64)
-    allowed = (pts >= D) @ (1 << np.arange(d + 1))
+    allowed = ((s * D - pts.sum(axis=1) >= D)
+               | (pts >= D) @ (2 << np.arange(d)))
     return pts, full[allowed] & ~cleared
 
 

@@ -12,8 +12,8 @@ level per build, is the Apery set of S over the vertices D*e_j, Ap = {y
 in S : y - D*e_j not in S for every j}, and the gap points y, whose
 natural level (least s with y in slice(s)) is below their first level
 (least s with y in sA), with that first level.  ``SumsetLevel`` objects
-filter that record.  The build's shifts and the reg sweep's levels come
-in batches of at most max(m, _BATCH_ROWS) rows, m one part's rows.
+filter that record.  The build's shifts come in batches of at most
+max(m, _BATCH_ROWS) rows, m = |Ap_(s-1)|.
 
 Ranks are private to this module: levels hand out their members, gaps and
 Apery elements as arrays of points in rank order, so other modules read
@@ -37,13 +37,6 @@ DEFAULT_MAX_SLICE_SIZE = 2**27
 
 #: A batch of copies of an m-row part holds at most max(m, _BATCH_ROWS) rows.
 _BATCH_ROWS = 1 << 14
-
-
-def batch_bound(m: int) -> int:
-    """The most rows a batch may hold when its first part has m rows:
-    max(m, _BATCH_ROWS), so no more memory than the part alone needs,
-    or ~_BATCH_ROWS rows when the parts are small."""
-    return max(m, _BATCH_ROWS)
 
 
 def unit(d: int, i: int, scale: int = 1) -> Point:
@@ -177,12 +170,11 @@ class SumsetLevel:
                        & (A._filled > self.s)]
 
     def apery(self) -> np.ndarray:
-        """(n, d+1) array of the Apery elements of level s, homogenized,
-        in rank order; none lie above the top built level once the gaps
-        are final (see ``_next_level``)."""
+        """(n, d) array of the Apery elements of level s, in rank order;
+        none lie above the top built level once the gaps are final (see
+        ``_next_level``)."""
         A = self._A
-        y = A._apery[self.s] if self.s <= A._built else A._apery[0][:0]
-        return np.column_stack((self.s * A.D - y.sum(axis=1), y))
+        return A._apery[self.s] if self.s <= A._built else A._apery[0][:0]
 
     @property
     def points(self) -> np.ndarray:
@@ -368,7 +360,7 @@ class GeneratorSet:
         if not self._apery:
             return np.zeros((1, self.d), dtype=np.int64), key[:1] * 0
         last = self._apery[-1]
-        step = max(1, batch_bound(len(last)) // max(len(last), 1))
+        step = max(1, _BATCH_ROWS // max(len(last), 1))
         points, keys = last[:0], key[:0]
         for j in range(0, len(self._gens), step):
             block = (last + self._gens[j:j + step, None]).reshape(-1, self.d)

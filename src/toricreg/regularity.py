@@ -4,14 +4,14 @@ reg is the maximum of |y|/D - (i+1) over semigroup elements y whose
 complex T_y has nonvanishing reduced homology in degree i.  The
 enumeration stops at a certified cutoff: past level sigma+d+1 (smooth)
 or sigma+d+2 (one singular point) every complex is provably acyclic in
-all degrees up to d.  Below it only the rows whose T_y can carry
-homology get a face table: the gap shifts and the Apery elements (see
-``_sweep``).  No level above the one where the gaps become final is
+all degrees up to d.  It starts at the floor, the top level under the
+cutoff with an Apery element: such a y has T_y = {emptyset}, so its
+level t is a value, and no level s below offers more than s < t.  From
+the floor up only the rows whose T_y can carry homology get a face
+table: the gap shifts and the Apery elements (see ``_sweep``), one
+level per call.  No level above the one where the gaps become final is
 built: the generator set reads every higher level as its slice minus
-those gaps, with no Apery element.  The sweep tables consecutive
-levels in batches bounded like the level build's (``lattice.batch_bound``),
-so a small instance takes one or two calls and a level over that bound
-is tabled on its own.
+those gaps, with no Apery element.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .classify import (ONE_SINGULAR, OTHER, SMOOTH, ClassificationReport,
 from .errors import (CertificationError, PreconditionError,
                      UnsupportedInstanceError)
 from .homology import (FieldTag, check_face_table_dimension,
-                       face_tables_for_level, min_nonzero_degree,
-                       table_key_fits)
-from .lattice import GeneratorSet, Point, batch_bound, homogenize
+                       face_tables_for_level, min_nonzero_degree)
+from .lattice import GeneratorSet, Point, homogenize
 from .linalg import gcd_of_maximal_minors
 from .sumsets import SigmaResult, sigma, sigma_bounds
 
@@ -87,57 +86,40 @@ def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
     0..max_level.  Each level and face table offers its least point,
     and the least homogenized y wins among those of the largest value.
-    Level 0 always offers the empty complex.
+
+    The sweep starts at the floor, the top level t <= max_level with an
+    Apery element y (level 0 has the origin): no y - D*e_j is in S_A,
+    so T_y = {emptyset}, whose betti_(-1) = 1 offers the value t.  A
+    level s offers at most s - (i+1) <= s, as i >= -1, so no level
+    below the floor reaches or ties t.
 
     Only the gap shifts and the Apery elements, the box rows with every
     homogenized y_j <= D - 1 among them, get a table: any other row of
     sA has the full simplex on its nonempty {j : y_j >= D} as T_y (see
     ``face_tables_for_level``), so no least point with homology is lost.
-
-    One call tables a batch of consecutive levels, taken while their
-    rows stay at most ``batch_bound`` of the first level's and their
-    int64 sort key fits (``table_key_fits``).  Level s has rows[s] =
-    sum over t of |gaps[t]| * C(d+1, s-t) shift rows plus its Apery
-    elements, read once when the batch rule first reaches s; gaps[t] is
-    dropped after its last batch, so a batch and d + 2 levels are held.
+    Each level is tabled alone and its gaps read once; the gaps of level
+    s - d - 1 are dropped after level s, so d + 2 levels are held.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
-    gaps, apery, rows = [], [], []  # of the levels read so far
+    floor = max_level
+    while not len(rows := A.level(floor).apery()):
+        floor -= 1
+    gaps = {t: A.level(t).gaps() for t in range(max(0, floor - d - 1), floor)}
     found = []  # (-value, y, i)
-    lo = 0
-    while lo <= max_level:
-        hi, n = lo - 1, 0
-        while hi < max_level:
-            s = hi + 1
-            if s == len(rows):  # first reached: read level s
-                gaps.append(A.level(s).gaps())
-                apery.append(A.level(s).apery())
-                rows.append(len(apery[s]) + sum(
-                    len(gaps[t]) * comb(d + 1, s - t)
-                    for t in range(max(0, s - d - 1), s + 1)))
-            if s > lo and (n + rows[s] > batch_bound(rows[lo])
-                           or not table_key_fits(A, range(lo, s + 1))):
-                break
-            hi, n = s, n + rows[s]
-        pts, tables = face_tables_for_level(
-            A, range(lo, hi + 1), np.concatenate(apery[lo:hi + 1]), gaps)
-        # the points are by level, each level's in lexicographic order,
-        # so the first of a (level, table) pair is the least of that
-        # level's points with that table; a point outside sA has table 0
-        # and no faces
-        levels = pts.sum(axis=1) // D
-        kinds, kind = np.unique(tables, return_inverse=True)
-        _, first = np.unique(levels * len(kinds) + kind, return_index=True)
-        for t, s, y in zip(tables[first].tolist(), levels[first].tolist(),
-                           pts[first].tolist()):
+    for s in range(floor, max_level + 1):
+        gaps[s] = A.level(s).gaps()
+        pts, tables = face_tables_for_level(A, s, rows, gaps)
+        # the points are in lexicographic order, so the first with a
+        # table is the least; a point outside sA has table 0 and no faces
+        _, first = np.unique(tables, return_index=True)
+        for t, y in zip(tables[first].tolist(), pts[first].tolist()):
             i = min_nonzero_degree(t, d + 1, field) if t else None
             if i is not None:
-                found.append((i + 1 - s, tuple(y), i))
-        for t in range(max(0, lo - d - 1), max(0, hi - d)):
-            gaps[t] = None  # no later level reads level t
-        lo = hi + 1
+                found.append((i + 1 - s, (s * D - sum(y), *y), i))
+        gaps.pop(s - d - 1, None)  # no later level reads it
+        rows = rows[:0]  # no level above the floor has an Apery element
     neg, y, i = min(found)
     return -neg, y, i
 

@@ -24,13 +24,11 @@ def members(level):
 
 
 def level_tables(A, s, rows):
-    """``face_tables_for_level`` on level s alone, its gaps read from A's
-    level views, with dehomogenized rows in and points out."""
+    """``face_tables_for_level`` on level s, its gaps read from A's level
+    views."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.d)
-    rows = np.column_stack((s * A.D - rows.sum(axis=1), rows))
-    pts, tables = face_tables_for_level(
-        A, range(s, s + 1), rows, [A.level(t).gaps() for t in range(s + 1)])
-    return pts[:, 1:], tables
+    return face_tables_for_level(
+        A, s, rows, {t: A.level(t).gaps() for t in range(s + 1)})
 
 
 def family_instance(family, d, D, e, seed):
@@ -60,8 +58,8 @@ def arbitrary_sets(draw, max_d=3, max_D=7):
 
 
 def full_sweep(A, max_level, field):
-    """``regularity._sweep`` as it was before it chose its rows: every
-    point of every level 0..max_level gets a face table."""
+    """``regularity._sweep`` as it was before it chose its rows and its
+    floor: every point of every level 0..max_level gets a face table."""
     A.level(max_level)
     found = []  # (-value, y, i)
     for s in range(max_level + 1):

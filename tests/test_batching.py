@@ -1,14 +1,14 @@
-"""The batched kernels: the level build merges the Apery shifts of many
-generators at once, and the reg sweep tables many levels at once.
-``lattice._BATCH_ROWS`` bounds both batches; set to 1, every level build
-shifts by one generator at a time and every sweep batch holds one level
-with rows, and small values split batches inside a level.  The records
-and the sweep must not depend on it."""
+"""The batched level build and the one-level reg sweep.  The level
+build merges the Apery shifts of many generators at once, in batches
+that ``lattice._BATCH_ROWS`` bounds: set to 1, every level build shifts
+by one generator at a time, and small values split batches inside a
+level.  The records and the sweep must not depend on it.  The sweep
+tables one level per call, from the floor (the top level under the
+cutoff with an Apery element) up."""
 
 import contextlib
 import functools
 import tracemalloc
-from math import comb
 
 import numpy as np
 import pytest
@@ -37,26 +37,23 @@ def batch_rows(n):
 
 
 @contextlib.contextmanager
-def sweep_batches():
-    """Yields the list of level ranges the sweep tables, one per call."""
-    batches = []
+def sweep_calls():
+    """Yields the list of levels the sweep tables, one per call."""
+    levels = []
     tables = regularity.face_tables_for_level
 
-    def recorded(A, levels, rows, gaps):
-        batches.append(levels)
-        return tables(A, levels, rows, gaps)
+    def recorded(A, s, rows, gaps):
+        levels.append(s)
+        return tables(A, s, rows, gaps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "face_tables_for_level", recorded)
-        yield batches
+        yield levels
 
 
-def level_rows(A, s):
-    """The rows the sweep builds for level s: every gap shift and every
-    Apery element of the level."""
-    return len(A.level(s).apery()) + sum(
-        len(A.level(t).gaps()) * comb(A.d + 1, s - t)
-        for t in range(max(0, s - A.d - 1), s + 1))
+def apery_floor(A, top):
+    """The top level up to ``top`` with an Apery element."""
+    return max(s for s in range(top + 1) if len(A.level(s).apery()))
 
 
 class TestSmallBatches:
@@ -176,35 +173,31 @@ class TestSweepBatches:
         want = regularity._sweep(GeneratorSet(A.d, A.points), top, field)
         for n in SMALL_BATCHES:
             B = GeneratorSet(A.d, A.points)
-            with batch_rows(n), sweep_batches() as batches:
+            with batch_rows(n):
                 assert regularity._sweep(B, top, field) == want, (A, n)
-            # the batches cover the levels in order; each takes levels
-            # while its rows stay at most max(rows of its first level, n)
-            assert [s for b in batches for s in b] == list(range(top + 1))
-            for b in batches:
-                bound = max(level_rows(B, b[0]), n)
-                assert sum(level_rows(B, s) for s in b) <= bound
-                if b[-1] < top:
-                    assert sum(level_rows(B, s)
-                               for s in range(b[0], b[-1] + 2)) > bound
         assert want == full_sweep(GeneratorSet(A.d, A.points), top, field)
         if field != "q":
             assert want == oracle_witness(A, top, field), A
 
-    def test_a_small_instance_tables_in_one_call(self):
+    def test_a_small_instance_tables_one_level_per_call(self):
         A = veronese(3, 3)
-        with sweep_batches() as batches:
+        with sweep_calls() as levels:
             rr = reg(A)
-        assert batches == [range(rr.cutoff_norm // A.D + 1)]
+        top = rr.cutoff_norm // A.D
+        floor = apery_floor(A, top)
+        assert 0 < floor < top
+        assert levels == list(range(floor, top + 1))
 
     @pytest.mark.parametrize("make", [quartic_singular_surface,
                                       lambda: minimal_smooth(3, 4)],
                              ids=["quartic", "minimal_smooth(3,4)"])
     def test_each_level_is_read_once(self, make, monkeypatch):
-        # however many batches share a level, the sweep reads its gaps
-        # and its Apery elements once
+        # the sweep reads the gaps of every level from d + 1 below the
+        # floor to the cutoff, and the Apery elements from the cutoff
+        # down to the floor, each once
         A = make()
         top = reg(A).cutoff_norm // A.D
+        floor = apery_floor(A, top)
         reads = []
         for kind in ("gaps", "apery"):
             read = getattr(lattice.SumsetLevel, kind)
@@ -212,18 +205,36 @@ class TestSweepBatches:
                 lattice.SumsetLevel, kind,
                 lambda level, kind=kind, read=read: (
                     reads.append((kind, level.s)), read(level))[1])
-        with batch_rows(1), sweep_batches() as batches:
-            regularity._sweep(A, top, "q")
-        assert len(batches) > 1
-        for kind in ("gaps", "apery"):
-            assert sorted(s for k, s in reads if k == kind) == list(
-                range(top + 1))
+        regularity._sweep(A, top, "q")
+        assert sorted(s for k, s in reads if k == "gaps") == list(
+            range(max(0, floor - A.d - 1), top + 1))
+        assert sorted(s for k, s in reads if k == "apery") == list(
+            range(floor, top + 1))
+
+    def test_a_long_chain_tables_only_its_top_levels(self, monkeypatch):
+        # reg = 198 at the floor, two levels under the cutoff: the sweep
+        # reads the gaps of d + 1 = 2 levels below the floor and tables
+        # each level from the floor up once
+        A = GeneratorSet(1, [(0,), (1,), (199,), (200,)])
+        rr = reg(A)
+        top = rr.cutoff_norm // A.D
+        floor = apery_floor(A, top)
+        assert rr.reg == floor == top - 2
+        reads = []
+        gaps = lattice.SumsetLevel.gaps
+        monkeypatch.setattr(lattice.SumsetLevel, "gaps", lambda level: (
+            reads.append(level.s), gaps(level))[1])
+        with sweep_calls() as levels:
+            assert regularity._sweep(A, top, "q") == (
+                rr.reg, rr.witness_y, rr.witness_i)
+        assert sorted(reads) == list(range(floor - 2, top + 1))
+        assert levels == list(range(floor, top + 1))
 
     def test_gaps_of_a_few_levels_are_held(self):
-        # a long d = 1 chain has 201 levels with gaps: the sweep holds a
-        # batch of them and the d + 2 around it, not all of them
-        A = GeneratorSet(1, [(0,), (1,), (199,), (200,)])
-        top = reg(A).cutoff_norm // A.D
+        # a verdict-Other set whose floor is 6: its 301 levels up to the
+        # cutoff hold ~34 MB of gaps, and the sweep holds d + 2 of them
+        A = GeneratorSet(2, [(0, 0), (5, 0), (0, 5), (2, 1), (1, 3), (3, 2)])
+        top = 300
         every = sum(A.level(t).gaps().nbytes for t in range(top + 1))
         tracemalloc.start()
         try:

@@ -10,7 +10,7 @@ from toricreg import (CertificationError, PreconditionError,
                       ResourceLimitError, betti_numbers, families,
                       homogenize, homology, oracle, reg)
 from toricreg.homology import (HOMOLOGY_CACHE_SIZE, face_tables_for_level,
-                               min_nonzero_degree, table_key_fits)
+                               min_nonzero_degree)
 from toricreg.oracle import (homology_recheck, naive_faces, naive_member,
                              naive_slice_points)
 
@@ -258,41 +258,37 @@ class TestFaceComplexes:
             for row, t in zip(pts.tolist(), tables.tolist()):
                 assert t == naive_table(quartic, s, row)
 
-    def test_face_tables_refuse_a_row_outside_the_level(self, quartic):
-        # (1, 1) is the quartic's hole: in slice(2), not in 2A, so its
-        # table is 0; (4, 4) lies in slice(2), not in slice(1), (-1, 3)
-        # in no slice and (1, 2) has a norm that e = 2 does not divide
+    def test_face_tables_read_a_hole_as_table_0(self, quartic):
+        # (1, 1) is the quartic's hole: in slice(2), not in 2A
         pts, tables = level_tables(quartic, 2, [[0, 0], [1, 1]])
         assert dict(zip(map(tuple, pts.tolist()), tables.tolist()))[
             (1, 1)] == 0
-        for s, row in ((1, [4, 4]), (2, [-1, 3]), (2, [1, 2])):
-            with pytest.raises(PreconditionError, match="not in the level"):
-                level_tables(quartic, s, [[0, 0], row])
 
     def test_face_tables_refuse_rows_without_an_int64_key(self):
-        # one level: the key has radix s*D + 1 = 2**13 + 1 in each of 5
-        # coordinates
+        # the key has radix s*D + 1 = 2**13 + 1 in each of 5 coordinates
         A = families.veronese(5, 2)
         s = 2**12
         empty = np.zeros((0, 5), dtype=np.int64)
+        gaps = {t: empty for t in range(s - 6, s + 1)}
         with pytest.raises(ResourceLimitError, match="int64 key"):
-            face_tables_for_level(A, range(s, s + 1),
-                                  np.array([[s * A.D, 0, 0, 0, 0, 0]]),
-                                  [empty] * (s + 1))
+            face_tables_for_level(A, s, empty, gaps)
 
     def test_a_batch_key_needs_room_for_each_level(self):
-        # one level keeps the single-level bound (s*D + 1)**d; radix 6207
-        # is the largest odd one with a 5-coordinate key, and two levels
-        # need twice the room
+        # a level's rows share one key of radix s*D + 1 in each of 5
+        # coordinates: radix 6207 is the largest odd one that fits, so
+        # level 3103 is tabled and level 3104 refused
         A = families.veronese(5, 2)
         limit = np.iinfo(np.int64).max
+        empty = np.zeros((0, 5), dtype=np.int64)
         for s in (3102, 3103, 3104, 2**12):
-            assert table_key_fits(A, range(s, s + 1)) == (
-                (s * A.D + 1) ** 5 <= limit)
-        assert table_key_fits(A, range(3103, 3104))
-        assert not table_key_fits(A, range(3103, 3105))
-        assert not table_key_fits(A, range(3102, 3104))
-        assert table_key_fits(A, range(0, 100))
+            gaps = {t: empty for t in range(s - 6, s + 1)}
+            if (s * A.D + 1) ** 5 <= limit:
+                pts, _ = face_tables_for_level(A, s, empty, gaps)
+                assert not len(pts)
+                continue
+            with pytest.raises(ResourceLimitError, match="int64 key"):
+                face_tables_for_level(A, s, empty, gaps)
+        assert (3103 * A.D + 1) ** 5 <= limit < (3104 * A.D + 1) ** 5
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from(["2", "D"]), st.integers(0, 3),

@@ -465,7 +465,7 @@ class TestAperyRecord:
         assume(len(A.points) <= MAX_NAIVE_GENERATORS)
         A.level(top)
         B, D = homogenize(A), A.D
-        apery = [tuple(y) for s in range(top + 1)
+        apery = [(s * D - sum(y), *y) for s in range(top + 1)
                  for y in A.level(s).apery().tolist()]
         assert apery[0] == (0,) * (A.d + 1)
         for y in apery:

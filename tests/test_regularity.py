@@ -319,6 +319,33 @@ class TestCandidateRows:
             3, (1,) * 6, -1)
 
 
+class TestFloor:
+    @given(st.one_of(
+        st.builds(family_instance, st.sampled_from(FAMILIES),
+                  st.integers(1, 2), st.integers(2, 4),
+                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16)),
+        arbitrary_sets(max_d=2, max_D=4)), st.integers(0, 4),
+        st.sampled_from(["q", 2, 32003]))
+    @settings(max_examples=20, deadline=None)
+    def test_sweep_from_the_floor_matches_every_level(self, A, cutoff,
+                                                      field):
+        # the references sweep every level from 0: verdict Other at the
+        # drawn cutoff, the others at their certified one, which the
+        # oracle reaches up to its level cap
+        try:
+            report = classify(A)
+        except InvalidInstanceError:  # an imprimitive arbitrary set
+            report = None
+        if report is not None and report.verdict != OTHER and not (
+                report.reduced):
+            A = report.instance
+            cutoff = reg(A, report, field=field).cutoff_norm // A.D
+        got = regularity._sweep(GeneratorSet(A.d, A.points), cutoff, field)
+        assert got == full_sweep(A, cutoff, field), (A, cutoff, field)
+        if field != "q" and cutoff <= oracle.MAX_NAIVE_S:
+            assert got == oracle_witness(A, cutoff, field), (A, cutoff)
+
+
 class TestBounds:
     def test_herzog_hibi(self):
         out = herzog_hibi_bound(veronese(2, 3))
