@@ -4,8 +4,8 @@ For y in the semigroup S_A (homogenized coordinates), T_y has vertex j
 when y - D*e_j stays in S_A, and more generally face F when the whole
 sum over F can be subtracted.  ``face_tables_for_level`` reads these
 faces off the gaps of the sumset levels alone, with no membership
-query, one level at a time: one int64 key per row, its dehomogenized
-coordinates, sorts and merges every row of the level in one pass.
+query, one level at a time: one int64 key per gap shift, its
+dehomogenized coordinates, sorts and merges the level's shifts in one pass.
 Reduced homology of these complexes drives the regularity formula; the
 empty face is kept as the single (-1)-cell, so the void-looking complex
 {emptyset} has betti_{-1} = 1.
@@ -93,31 +93,30 @@ def check_face_table_dimension(d: int) -> None:
             f"face tables support at most 6 vertices (d = {d})")
 
 
-def face_tables_for_level(A: GeneratorSet, s: int, rows: np.ndarray,
+def face_tables_for_level(A: GeneratorSet, s: int,
                           gaps: Mapping[int, np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """T_y face families of the rows and gap shifts of level s.
+    """T_y face families of the gap shifts of level s.
 
     Take y in slice(s), homogenized with y0 = s*D - |y|.  Its vertex
     subset F leaves y - D*e_F in slice(s - |F|) iff y_j >= D on F, and
     then in S_A iff that point is no gap of level s - |F|.  So T_y is
     the full simplex on {j : y_j >= D} minus the faces F that land on a
-    gap, at y = g + D*e_F: no membership query is needed.  ``gaps[t]``
-    is level t's gaps, read only for t from s - d - 1 to s, and ``rows``
-    are points of slice(s), such as the level's Apery elements, all
-    dehomogenized.
+    gap, at y = g + D*e_F: no membership query is needed, and only these
+    gap shifts can have another T_y.  ``gaps[t]`` is level t's gaps,
+    dehomogenized, read only for t from s - d - 1 to s.
 
-    Returns (points, tables): the distinct rows and gap shifts,
-    dehomogenized, in lexicographic order, and a uint64 per point whose
-    bit m says whether the vertex subset with mask m is a face (bit 0 =
-    homogenizing coordinate), so nonnegative with the 6-vertex face
-    (bit 63) too.  A point outside sA reads 0: a face would put it in sA.
+    Returns (points, tables): the distinct gap shifts, dehomogenized, in
+    lexicographic order, and a uint64 per point whose bit m says whether
+    the vertex subset with mask m is a face (bit 0 = homogenizing
+    coordinate), so nonnegative with the 6-vertex face (bit 63) too.  A
+    gap of level s reads 0: a face would put it in sA.
     """
     d, D = A.d, A.D
     check_face_table_dimension(d)
-    # one int64 key per row: its coordinates in radix s*D + 1; a gap g of
-    # level s - |F| shifted by D*e_F has the key of g plus the key of the
-    # shift, which F alone fixes
+    # one int64 key per point: its coordinates in radix s*D + 1; a gap g
+    # of level s - |F| shifted by D*e_F has the key of g plus the key of
+    # the shift, which F alone fixes
     radix = s * D + 1
     if radix ** d > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"level {s} rows have no int64 key in "
@@ -128,12 +127,9 @@ def face_tables_for_level(A: GeneratorSet, s: int, rows: np.ndarray,
     size = bits.sum(axis=1)
     shift = D * bits[:, 1:] @ w
     face = np.uint64(1) << f.astype(np.uint64)
-    keys = [rows @ w]
-    cleared = [np.zeros(len(rows), dtype=np.uint64)]
+    keys, cleared = [], []
     for t in range(max(0, s - d - 1), s + 1):
         g = gaps[t]
-        if not len(g):
-            continue
         m = np.flatnonzero(size == s - t)
         keys.append((shift[m, None] + g @ w).ravel())
         cleared.append(np.repeat(face[m], len(g)))

@@ -6,12 +6,12 @@ enumeration stops at a certified cutoff: past level sigma+d+1 (smooth)
 or sigma+d+2 (one singular point) every complex is provably acyclic in
 all degrees up to d.  It starts at the floor, the top level under the
 cutoff with an Apery element: such a y has T_y = {emptyset}, so its
-level t is a value, and no level s below offers more than s < t.  From
-the floor up only the rows whose T_y can carry homology get a face
-table: the gap shifts and the Apery elements (see ``_sweep``), one
-level per call.  No level above the one where the gaps become final is
-built: the generator set reads every higher level as its slice minus
-those gaps, with no Apery element.
+level t is a value, and no level s below offers more than s < t.  The
+floor offers its least Apery element, read off the record; above it the
+gap shifts alone, the rows whose T_y can carry homology, get a table
+(see ``_sweep``), one level per call.  No level above the one where the
+gaps become final is built: the generator set reads every higher level
+as its slice minus those gaps, with no Apery element.
 """
 
 from __future__ import annotations
@@ -84,42 +84,45 @@ def degree(A: GeneratorSet,
 
 def _sweep(A: GeneratorSet, max_level: int, field: FieldTag):
     """(value, witness_y, witness_i): the max of s - (i+1) over levels
-    0..max_level.  Each level and face table offers its least point,
-    and the least homogenized y wins among those of the largest value.
+    0..max_level.  The floor and each table offer their least point, and
+    the least homogenized y wins among those of the largest value.
 
     The sweep starts at the floor, the top level t <= max_level with an
     Apery element y (level 0 has the origin): no y - D*e_j is in S_A,
     so T_y = {emptyset}, whose betti_(-1) = 1 offers the value t.  A
     level s offers at most s - (i+1) <= s, as i >= -1, so no level
-    below the floor reaches or ties t.
+    below the floor reaches or ties t.  At the floor, T_y = {emptyset}
+    holds exactly for the Apery elements, and any other nonzero T_y has
+    a vertex, so i >= 0 and it offers at most t - 1: the floor offers
+    its least Apery element, with i = -1 and no table.
 
-    Only the gap shifts and the Apery elements, the box rows with every
-    homogenized y_j <= D - 1 among them, get a table: any other row of
+    Above the floor only the gap shifts get a table: any other row of
     sA has the full simplex on its nonempty {j : y_j >= D} as T_y (see
-    ``face_tables_for_level``), so no least point with homology is lost.
-    Each level is tabled alone and its gaps read once; the gaps of level
-    s - d - 1 are dropped after level s, so d + 2 levels are held.
+    ``face_tables_for_level``), and no level above the floor has an
+    Apery element, so no least point with homology is lost.  Each level
+    is tabled alone and its gaps read once; the gaps of level s - d - 1
+    are dropped after level s, so d + 2 levels are held.
     """
     d, D = A.d, A.D
     # unless A is stable, checks the cap of max_level before level 0
     A.level(max_level)
     floor = max_level
-    while not len(rows := A.level(floor).apery()):
+    while not len(apery := A.level(floor).apery()):
         floor -= 1
-    gaps = {t: A.level(t).gaps() for t in range(max(0, floor - d - 1), floor)}
-    found = []  # (-value, y, i)
-    for s in range(floor, max_level + 1):
+    y = min(apery.tolist())
+    found = [(-floor, (floor * D - sum(y), *y), -1)]  # (-value, y, i)
+    gaps = {t: A.level(t).gaps() for t in range(max(0, floor - d), floor + 1)}
+    for s in range(floor + 1, max_level + 1):
         gaps[s] = A.level(s).gaps()
-        pts, tables = face_tables_for_level(A, s, rows, gaps)
+        pts, tables = face_tables_for_level(A, s, gaps)
         # the points are in lexicographic order, so the first with a
-        # table is the least; a point outside sA has table 0 and no faces
+        # table is the least; a gap has table 0 and no faces
         _, first = np.unique(tables, return_index=True)
         for t, y in zip(tables[first].tolist(), pts[first].tolist()):
             i = min_nonzero_degree(t, d + 1, field) if t else None
             if i is not None:
                 found.append((i + 1 - s, (s * D - sum(y), *y), i))
         gaps.pop(s - d - 1, None)  # no later level reads it
-        rows = rows[:0]  # no level above the floor has an Apery element
     neg, y, i = min(found)
     return -neg, y, i
 

@@ -1,8 +1,10 @@
 """Instances of the four generator families, and arbitrary generator
-sets, for hypothesis tests; face tables of one level, two reference
-sweeps for ``regularity._sweep`` and the dense level build that the
-Apery record of ``GeneratorSet`` replaced."""
+sets, for hypothesis tests; face tables of any rows of one level from
+their definition, two reference sweeps for ``regularity._sweep`` and
+the dense level build that the Apery record of ``GeneratorSet``
+replaced."""
 
+import itertools
 import random
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from toricreg import GeneratorSet, families, homogenize
-from toricreg.homology import face_tables_for_level, min_nonzero_degree
+from toricreg.homology import min_nonzero_degree
 from toricreg.lattice import SimplexSlice, slice_size, unit
 from toricreg.oracle import (homology_recheck, naive_faces,
                              naive_slice_points, naive_sumset)
@@ -24,11 +26,39 @@ def members(level):
 
 
 def level_tables(A, s, rows):
-    """``face_tables_for_level`` on level s, its gaps read from A's level
-    views."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, A.d)
-    return face_tables_for_level(
-        A, s, rows, {t: A.level(t).gaps() for t in range(s + 1)})
+    """(rows, tables): the face table of each row of slice(s), given
+    dehomogenized, from its definition.  Bit m of a table is set when
+    y - D*e_F, y the homogenized row and F the vertex subset with mask m
+    (bit 0 = homogenizing coordinate), stays nonnegative and is no gap
+    of level s - |F|; each F looks its shifted rows up among those gaps
+    by key.  A gap of level s reads 0."""
+    d, D = A.d, A.D
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, d)
+    y = np.column_stack([s * D - rows.sum(axis=1), rows])
+    w = (s * D + 1) ** np.arange(d)  # a key per point of slice(s)
+    gap_keys = {t: A.level(t).gaps() @ w for t in range(max(0, s - d - 1),
+                                                        s + 1)}
+    tables = np.zeros(len(rows), dtype=np.uint64)
+    for m in range(2 << d):
+        F = np.array([m >> j & 1 for j in range(d + 1)])
+        z = y - D * F
+        face = (z >= 0).all(axis=1)
+        if face.any():  # then level s - |F| >= 0
+            face[face] = ~np.isin(z[face, 1:] @ w, gap_keys[s - F.sum()])
+        tables |= face.astype(np.uint64) << np.uint64(m)
+    return rows, tables
+
+
+def gap_shifts(A, s):
+    """The distinct points g + D*e_F of slice(s), dehomogenized and in
+    lexicographic order, over the gaps g of each level s - |F|."""
+    d, D = A.d, A.D
+    out = set()
+    for t in range(max(0, s - d - 1), s + 1):
+        for F in itertools.combinations(range(d + 1), s - t):
+            shift = np.array([D * (j in F) for j in range(1, d + 1)])
+            out.update(map(tuple, (A.level(t).gaps() + shift).tolist()))
+    return sorted(out)
 
 
 def family_instance(family, d, D, e, seed):
@@ -59,7 +89,8 @@ def arbitrary_sets(draw, max_d=3, max_D=7):
 
 def full_sweep(A, max_level, field):
     """``regularity._sweep`` as it was before it chose its rows and its
-    floor: every point of every level 0..max_level gets a face table."""
+    floor: every point of every level 0..max_level gets a face table, by
+    ``level_tables``."""
     A.level(max_level)
     found = []  # (-value, y, i)
     for s in range(max_level + 1):

@@ -25,12 +25,13 @@ from toricreg.classify import ONE_SINGULAR, SMOOTH, is_chart_smooth
 from toricreg.cli import main
 from toricreg.families import (minimal_smooth, one_singular_random,
                                smooth_random_superset, veronese)
+from toricreg.homology import face_tables_for_level
 from toricreg.lattice import slice_size, unit
 from toricreg.oracle import (homology_recheck, naive_faces, naive_member,
                              naive_minimal_generators, naive_slice_points,
                              naive_sumset)
 
-from instances import level_tables, members
+from instances import gap_shifts, level_tables, members
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +206,8 @@ def test_criterion_07_oracle_equivalence(quartic, even_sextic, sextic):
             assert bridged == naive_member(A.points, y)
             checked += 1
     # every distinct homology profile of the worked examples, re-derived
-    # over F_2 and F_32003 by the independent elimination code
+    # over F_2 and F_32003 by the independent elimination code; the
+    # sweep's tables of the gap shifts are the definition's
     profiles = 0
     for A in (quartic, even_sextic, sextic):
         sr = sigma(A)
@@ -213,6 +215,10 @@ def test_criterion_07_oracle_equivalence(quartic, even_sextic, sextic):
         for s in range(sr.sigma + A.d + 3):
             _, tbl = level_tables(A, s, A.level(s).points)
             tables.update(int(t) for t in np.unique(tbl))
+            pts, tbl = face_tables_for_level(
+                A, s, {t: A.level(t).gaps() for t in range(s + 1)})
+            assert pts.tolist() == [list(p) for p in gap_shifts(A, s)]
+            assert tbl.tolist() == level_tables(A, s, pts)[1].tolist()
         for t in tables:
             faces = frozenset(m for m in range(8) if t >> m & 1)
             face_list = [tuple(j for j in range(3) if m >> j & 1)

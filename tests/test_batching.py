@@ -3,8 +3,8 @@ build merges the Apery shifts of many generators at once, in batches
 that ``lattice._BATCH_ROWS`` bounds: set to 1, every level build shifts
 by one generator at a time, and small values split batches inside a
 level.  The records and the sweep must not depend on it.  The sweep
-tables one level per call, from the floor (the top level under the
-cutoff with an Apery element) up."""
+reads the floor (the top level under the cutoff with an Apery element)
+off the record and tables one level per call above it."""
 
 import contextlib
 import functools
@@ -42,9 +42,9 @@ def sweep_calls():
     levels = []
     tables = regularity.face_tables_for_level
 
-    def recorded(A, s, rows, gaps):
+    def recorded(A, s, gaps):
         levels.append(s)
-        return tables(A, s, rows, gaps)
+        return tables(A, s, gaps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "face_tables_for_level", recorded)
@@ -186,15 +186,15 @@ class TestSweepBatches:
         top = rr.cutoff_norm // A.D
         floor = apery_floor(A, top)
         assert 0 < floor < top
-        assert levels == list(range(floor, top + 1))
+        assert levels == list(range(floor + 1, top + 1))
 
     @pytest.mark.parametrize("make", [quartic_singular_surface,
                                       lambda: minimal_smooth(3, 4)],
                              ids=["quartic", "minimal_smooth(3,4)"])
     def test_each_level_is_read_once(self, make, monkeypatch):
-        # the sweep reads the gaps of every level from d + 1 below the
-        # floor to the cutoff, and the Apery elements from the cutoff
-        # down to the floor, each once
+        # the sweep reads the gaps of every level from d below the floor
+        # to the cutoff, and the Apery elements from the cutoff down to
+        # the floor, each once
         A = make()
         top = reg(A).cutoff_norm // A.D
         floor = apery_floor(A, top)
@@ -207,14 +207,14 @@ class TestSweepBatches:
                     reads.append((kind, level.s)), read(level))[1])
         regularity._sweep(A, top, "q")
         assert sorted(s for k, s in reads if k == "gaps") == list(
-            range(max(0, floor - A.d - 1), top + 1))
+            range(max(0, floor - A.d), top + 1))
         assert sorted(s for k, s in reads if k == "apery") == list(
             range(floor, top + 1))
 
     def test_a_long_chain_tables_only_its_top_levels(self, monkeypatch):
         # reg = 198 at the floor, two levels under the cutoff: the sweep
-        # reads the gaps of d + 1 = 2 levels below the floor and tables
-        # each level from the floor up once
+        # reads the gaps of d = 1 level below the floor and tables each
+        # level above the floor once
         A = GeneratorSet(1, [(0,), (1,), (199,), (200,)])
         rr = reg(A)
         top = rr.cutoff_norm // A.D
@@ -227,8 +227,9 @@ class TestSweepBatches:
         with sweep_calls() as levels:
             assert regularity._sweep(A, top, "q") == (
                 rr.reg, rr.witness_y, rr.witness_i)
-        assert sorted(reads) == list(range(floor - 2, top + 1))
-        assert levels == list(range(floor, top + 1))
+        assert sorted(reads) == list(range(floor - 1, top + 1))
+        assert levels == list(range(floor + 1, top + 1))
+        assert len(levels) == top - floor == 2
 
     def test_gaps_of_a_few_levels_are_held(self):
         # a verdict-Other set whose floor is 6: its 301 levels up to the

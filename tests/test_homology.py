@@ -15,7 +15,7 @@ from toricreg.oracle import (homology_recheck, naive_faces, naive_member,
                              naive_slice_points)
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
-                       level_tables, members)
+                       gap_shifts, level_tables, members)
 
 
 def masks(*vertex_tuples):
@@ -214,6 +214,16 @@ def naive_table(A, s, row):
             if oracle.naive_member(homogenize(A), y) else 0)
 
 
+def check_production_tables(A, s):
+    """``face_tables_for_level`` on level s returns exactly its distinct
+    gap shifts, with the tables that ``level_tables`` reads off the
+    definition."""
+    gaps = {t: A.level(t).gaps() for t in range(max(0, s - A.d - 1), s + 1)}
+    pts, tables = face_tables_for_level(A, s, gaps)
+    assert pts.tolist() == [list(p) for p in gap_shifts(A, s)], (A, s)
+    assert tables.tolist() == level_tables(A, s, pts)[1].tolist(), (A, s)
+
+
 @contextlib.contextmanager
 def cached_naive_member():
     """``oracle.naive_member`` answering each query once: a slice's
@@ -254,15 +264,20 @@ class TestFaceComplexes:
     def test_face_tables_match_naive_faces(self, quartic):
         for s in range(4):
             pts, tables = level_tables(quartic, s, quartic.level(s).points)
-            assert members(quartic.level(s)) <= set(map(tuple, pts.tolist()))
+            assert members(quartic.level(s)) == set(map(tuple, pts.tolist()))
             for row, t in zip(pts.tolist(), tables.tolist()):
                 assert t == naive_table(quartic, s, row)
+            check_production_tables(quartic, s)
 
     def test_face_tables_read_a_hole_as_table_0(self, quartic):
         # (1, 1) is the quartic's hole: in slice(2), not in 2A
-        pts, tables = level_tables(quartic, 2, [[0, 0], [1, 1]])
+        _, tables = level_tables(quartic, 2, [[0, 0], [1, 1]])
+        assert tables.tolist() == [naive_table(quartic, 2, [0, 0]), 0]
+        gaps = {t: quartic.level(t).gaps() for t in range(3)}
+        pts, tables = face_tables_for_level(quartic, 2, gaps)
         assert dict(zip(map(tuple, pts.tolist()), tables.tolist()))[
             (1, 1)] == 0
+        check_production_tables(quartic, 2)
 
     def test_face_tables_refuse_rows_without_an_int64_key(self):
         # the key has radix s*D + 1 = 2**13 + 1 in each of 5 coordinates
@@ -271,11 +286,11 @@ class TestFaceComplexes:
         empty = np.zeros((0, 5), dtype=np.int64)
         gaps = {t: empty for t in range(s - 6, s + 1)}
         with pytest.raises(ResourceLimitError, match="int64 key"):
-            face_tables_for_level(A, s, empty, gaps)
+            face_tables_for_level(A, s, gaps)
 
     def test_a_batch_key_needs_room_for_each_level(self):
-        # a level's rows share one key of radix s*D + 1 in each of 5
-        # coordinates: radix 6207 is the largest odd one that fits, so
+        # a level's gap shifts share one key of radix s*D + 1 in each of
+        # 5 coordinates: radix 6207 is the largest odd one that fits, so
         # level 3103 is tabled and level 3104 refused
         A = families.veronese(5, 2)
         limit = np.iinfo(np.int64).max
@@ -283,11 +298,11 @@ class TestFaceComplexes:
         for s in (3102, 3103, 3104, 2**12):
             gaps = {t: empty for t in range(s - 6, s + 1)}
             if (s * A.D + 1) ** 5 <= limit:
-                pts, _ = face_tables_for_level(A, s, empty, gaps)
-                assert not len(pts)
+                pts, tables = face_tables_for_level(A, s, gaps)
+                assert pts.shape == (0, 5) and not len(tables)
                 continue
             with pytest.raises(ResourceLimitError, match="int64 key"):
-                face_tables_for_level(A, s, empty, gaps)
+                face_tables_for_level(A, s, gaps)
         assert (3103 * A.D + 1) ** 5 <= limit < (3104 * A.D + 1) ** 5
 
     @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(2, 5),
@@ -304,6 +319,7 @@ class TestFaceComplexes:
         rng = random.Random(seed)
         for r in rng.sample(range(len(pts)), min(len(pts), 4)):
             assert int(tables[r]) == naive_table(A, s, pts[r].tolist()), A
+        check_production_tables(A, s)
 
     @given(arbitrary_sets(max_d=2, max_D=4), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
@@ -317,6 +333,7 @@ class TestFaceComplexes:
         with cached_naive_member():
             for row, t in zip(rows, tables.tolist()):
                 assert t == naive_table(A, s, row), (A, s, row)
+        check_production_tables(A, s)
 
     def test_oracle_recheck(self, even_sextic):
         faces = t_faces(even_sextic, (6, 9, 15))

@@ -20,7 +20,9 @@ from toricreg.cli import analysis_bundle
 from toricreg.families import (minimal_smooth, one_singular_base,
                                one_singular_random, smooth_random_superset,
                                veronese)
+from toricreg.homology import face_tables_for_level, min_nonzero_degree
 from toricreg.linalg import bareiss_det, gcd_of_maximal_minors
+from toricreg.oracle import naive_faces
 
 from instances import (FAMILIES, arbitrary_sets, family_instance,
                        full_sweep, level_tables, oracle_witness)
@@ -272,21 +274,27 @@ class TestCandidateRows:
     @settings(max_examples=40, deadline=None)
     def test_rows_left_out_are_full_simplices(self, A, level):
         # the lemma behind the rows the sweep tables, on full levels: a
-        # row that is no gap shift has the full simplex on J = {j : y_j
-        # >= D} as T_y, and J is empty only for a box row
+        # member of sA that is no gap shift has the full simplex on J =
+        # {j : y_j >= D} as T_y, and J is empty only for a box row; the
+        # reference tables read every such row, the oracle a sample
         d, D = A.d, A.D
-        pts, tables = level_tables(A, level, A.level(level).points)
-        shifts, _ = level_tables(A, level, np.zeros((0, d), dtype=np.int64))
+        gaps = {t: A.level(t).gaps() for t in range(level + 1)}
+        shifts, _ = face_tables_for_level(A, level, gaps)
         shifts = set(map(tuple, shifts.tolist()))
-        assert shifts <= set(map(tuple, pts.tolist()))
-        for row, t in zip(pts.tolist(), tables.tolist()):
-            if tuple(row) in shifts:
-                continue
+        rows = [row for row in A.level(level).points.tolist()
+                if tuple(row) not in shifts]
+        _, tables = level_tables(A, level, rows)
+        gens = homogenize(A)
+        sample = random.Random(level).sample(range(len(rows)),
+                                             min(len(rows), 4))
+        for r, (row, t) in enumerate(zip(rows, tables.tolist())):
             y = (level * D - sum(row),) + tuple(row)
             J = sum(1 << j for j in range(d + 1) if y[j] >= D)
             assert J or level * D <= (d + 1) * (D - 1), (A, y)
-            assert t == sum(1 << m for m in range(J + 1) if m & J == m), (
-                A, y)
+            full = {m for m in range(J + 1) if m & J == m}
+            assert t == sum(1 << m for m in full), (A, y)
+            if r in sample:
+                assert naive_faces(gens, y) == full, (A, y)
 
     @pytest.mark.parametrize("make", [
         families.quartic_singular_surface, families.sextic_surface,
@@ -319,31 +327,57 @@ class TestCandidateRows:
             3, (1,) * 6, -1)
 
 
+# families of the smooth and one-singular verdicts, and arbitrary sets of
+# all three, with a cutoff drawn for verdict Other
+FLOOR_DRAWS = (st.one_of(
+    st.builds(family_instance, st.sampled_from(FAMILIES), st.integers(1, 2),
+              st.integers(2, 4), st.sampled_from([1, 2, 4]),
+              st.integers(0, 2**16)),
+    arbitrary_sets(max_d=2, max_D=4)), st.integers(0, 4))
+
+
+def settled_cutoff(A, cutoff, field):
+    """(A, cutoff): verdict Other, an imprimitive set or a reduced one keeps
+    the drawn cutoff; the others take their certified one."""
+    try:
+        report = classify(A)
+    except InvalidInstanceError:
+        return A, cutoff
+    if report.verdict == OTHER or report.reduced:
+        return A, cutoff
+    A = report.instance
+    return A, reg(A, report, field=field).cutoff_norm // A.D
+
+
 class TestFloor:
-    @given(st.one_of(
-        st.builds(family_instance, st.sampled_from(FAMILIES),
-                  st.integers(1, 2), st.integers(2, 4),
-                  st.sampled_from([1, 2, 4]), st.integers(0, 2**16)),
-        arbitrary_sets(max_d=2, max_D=4)), st.integers(0, 4),
-        st.sampled_from(["q", 2, 32003]))
+    @given(*FLOOR_DRAWS, st.sampled_from(["q", 2, 32003]))
     @settings(max_examples=20, deadline=None)
     def test_sweep_from_the_floor_matches_every_level(self, A, cutoff,
                                                       field):
-        # the references sweep every level from 0: verdict Other at the
-        # drawn cutoff, the others at their certified one, which the
-        # oracle reaches up to its level cap
-        try:
-            report = classify(A)
-        except InvalidInstanceError:  # an imprimitive arbitrary set
-            report = None
-        if report is not None and report.verdict != OTHER and not (
-                report.reduced):
-            A = report.instance
-            cutoff = reg(A, report, field=field).cutoff_norm // A.D
+        # the references sweep every level from 0, which the oracle
+        # reaches up to its level cap
+        A, cutoff = settled_cutoff(A, cutoff, field)
         got = regularity._sweep(GeneratorSet(A.d, A.points), cutoff, field)
         assert got == full_sweep(A, cutoff, field), (A, cutoff, field)
         if field != "q" and cutoff <= oracle.MAX_NAIVE_S:
             assert got == oracle_witness(A, cutoff, field), (A, cutoff)
+
+    @given(*FLOOR_DRAWS, st.sampled_from(["q", 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_the_floor_offers_its_apery_elements_alone(self, A, cutoff,
+                                                       field):
+        # at the floor, by the reference tables, T_y = {emptyset} (table
+        # 1) marks exactly the Apery elements, and every other nonzero
+        # T_y has a vertex, so its least nonzero degree is i >= 0 and it
+        # offers less than the floor
+        A, cutoff = settled_cutoff(A, cutoff, field)
+        floor = max(s for s in range(cutoff + 1) if len(A.level(s).apery()))
+        pts, tables = level_tables(A, floor, A.level(floor).points)
+        assert sorted(pts[tables == 1].tolist()) == sorted(
+            A.level(floor).apery().tolist()), (A, floor)
+        for t in set(tables.tolist()) - {0, 1}:
+            i = min_nonzero_degree(t, A.d + 1, field)
+            assert i is None or i >= 0, (A, floor, t)
 
 
 class TestBounds:
