@@ -12,8 +12,9 @@ level per build, is the Apery set of S over the vertices D*e_j, Ap = {y
 in S : y - D*e_j not in S for every j}, and the gap points y, whose
 natural level (least s with y in slice(s)) is below their first level
 (least s with y in sA), with that first level.  ``SumsetLevel`` objects
-filter that record.  The build's shifts come in batches of at most
-max(m, _BATCH_ROWS) rows, m = |Ap_(s-1)|.
+filter that record.  A build reads its residues off its own new shell
+and merges its shifts in batches of at most max(m, _BATCH_ROWS) rows,
+m = |Ap_(s-1)|.
 
 Ranks are private to this module: levels hand out their members, gaps and
 Apery elements as arrays of points in rank order, so other modules read
@@ -144,6 +145,13 @@ class SimplexSlice:
         return prefix
 
 
+def _shell(d: int, D: int, e: int, s: int, max_size: int) -> np.ndarray:
+    """(n, d) array of the new shell slice(s) \\ slice(s-1), s >= 1, in rank
+    order, unranked through a capped slice(s)."""
+    sl = SimplexSlice(d, D, s, e, max_size)
+    return sl.unrank(np.arange(slice_size(d, (s - 1) * D, e), sl.size))
+
+
 class SumsetLevel:
     """The s-fold sumset sA inside slice(s), a view of its generator set's
     record: its gaps are the gap points of natural level <= s < first."""
@@ -224,8 +232,7 @@ class GeneratorSet:
         if self.D < 2:
             raise InvalidInstanceError(
                 f"maximum generator norm must be >= 2 (got {self.D})")
-        zero = (0,) * d
-        if zero not in seen:
+        if (0,) * d not in seen:
             raise InvalidInstanceError("generator set must contain the origin")
         for i in range(d):
             if unit(d, i, self.D) not in seen:
@@ -236,16 +243,15 @@ class GeneratorSet:
         self._built = -1  # no level built
         self._stable = False
         self._apery: list[np.ndarray] = []
-        self._gaps = self._residues = np.zeros((0, d), dtype=np.int64)
+        self._gaps = np.zeros((0, d), dtype=np.int64)
         self._filled = np.zeros(0)
-        # the nonzero generators (self.points has the origin first), and
-        # the steps D*e_i
+        # the nonzero generators (self.points has the origin first)
         self._gens = np.array(self.points[1:], dtype=np.int64).reshape(-1, d)
-        self._steps = self.D * np.eye(d, dtype=np.int64)
 
     # -- sumsets --------------------------------------------------------
 
     def level(self, s: int) -> SumsetLevel:
+        """The view of level s; the cap and key checks precede any build."""
         if s < 0:
             raise PreconditionError("level must be >= 0")
         if self._stable or s <= self._built:
@@ -255,13 +261,6 @@ class GeneratorSet:
         if (s * self.D + 1) ** self.d > np.iinfo(np.int64).max:
             raise ResourceLimitError(f"points of level s={s} have no int64 "
                                      f"key in dimension {self.d}")
-        # the residues (every coordinate below D) of the levels to build,
-        # from the slice the cap allowed; none lie above L0 = ceil(d(D-1)/D)
-        top = min(s, -(-self.d * (self.D - 1) // self.D))
-        if top > self._built:
-            sl = SimplexSlice(self.d, self.D, top, self.e, self.max_slice_size)
-            box = sl.unrank(np.arange(sl.size))
-            self._residues = box[(box < self.D).all(axis=1)]
         while not self._stable and self._built < s:
             self._next_level()
         return SumsetLevel(self, s)
@@ -288,8 +287,9 @@ class GeneratorSet:
           level s - 1;
         - a point y of the new shell is a gap iff it is not in Ap_s and
           each y - D*e_i is a gap of natural level s - 1: y is a residue,
-          every coordinate below D, or is such a gap shifted by D*e_i
-          once for each i with y_i >= D.
+          every coordinate below D, read off the new shell while
+          (s-1)*D < d(D-1), or is such a gap shifted by D*e_i once for
+          each i with y_i >= D.
 
         The set is then stable, its gaps final, if s >= L0 =
         ceil(d(D-1)/D) and level s has exactly the gaps of level s - 1:
@@ -335,10 +335,11 @@ class GeneratorSet:
         # the gaps of natural level s - 1 follow those of lower ones
         nat = known.searchsorted(((s - 2) * D + 1) * radix ** (d - 1))
         top = self._gaps[nat:][self._filled[nat:] > s - 1]
-        norm = self._residues.sum(axis=1)
-        new = np.concatenate(((top[:, None] + self._steps).reshape(-1, d),
-                              self._residues[(norm > (s - 1) * D)
-                                             & (norm <= s * D)]))
+        shell = (_shell(d, D, self.e, s, self.max_slice_size)
+                 if 0 <= (s - 1) * D < d * (D - 1) else top[:0])
+        new = np.concatenate((
+            (top[:, None] + D * np.eye(d, dtype=np.int64)).reshape(-1, d),
+            shell[(shell < D).all(axis=1)]))
         new_keys, at, count = np.unique(new @ key, return_index=True,
                                         return_counts=True)
         new = new[at]
@@ -407,6 +408,4 @@ def step_equality_holds(d: int, D: int, e: int, s: int,
     z - D*e_i lies in slice(s) iff z_i >= D."""
     if s < 0:
         return False
-    hi = SimplexSlice(d, D, s + 1, e, max_slice_size)
-    shell = hi.unrank(np.arange(slice_size(d, s * D, e), hi.size))
-    return bool((shell >= D).any(axis=1).all())
+    return bool((_shell(d, D, e, s + 1, max_slice_size) >= D).any(1).all())

@@ -3,14 +3,15 @@
 These deliberately share nothing with the main pipeline beyond plain
 tuples: sumsets by multiset enumeration, simplex slices by enumerating
 a box, semigroup elements by dynamic programming, the complexes T_y by
-one membership query per vertex subset, minimal generators by one
-membership query per generator, and homology by an independent
+one such program below y, read at each vertex subset, minimal generators
+by one membership query per generator, and homology by an independent
 modular Gaussian elimination on explicitly listed faces.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add, le
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -46,28 +47,33 @@ def naive_slice_points(d: int, N: int, e: int = 1) -> set[Vec]:
     return out
 
 
-def naive_member(gens: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
-    """Is y a finite N-combination of the generators?  Plain DP."""
-    y = tuple(int(c) for c in y)
-    if any(c < 0 for c in y):
-        return False
+def _reachable(gens: list[Vec], y: Vec) -> set[Vec]:
+    """The N-combinations of the generators that lie componentwise below
+    y, y nonnegative.  Plain DP."""
     if sum(y) > MAX_NAIVE_NORM:
         raise PreconditionError(f"naive_member capped at norm "
                                 f"{MAX_NAIVE_NORM}")
-    gs = [tuple(int(c) for c in g) for g in gens]
-    gs = [g for g in gs if any(g)]
+    gs = [g for g in gens if any(g)]
     reachable = {(0,) * len(y)}
     frontier = list(reachable)
     while frontier:
         nxt = []
         for v in frontier:
             for g in gs:
-                w = tuple(a + b for a, b in zip(v, g))
-                if all(a <= b for a, b in zip(w, y)) and w not in reachable:
+                w = tuple(map(add, v, g))
+                if all(map(le, w, y)) and w not in reachable:
                     reachable.add(w)
                     nxt.append(w)
         frontier = nxt
-    return y in reachable
+    return reachable
+
+
+def naive_member(gens: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
+    """Is y a finite N-combination of the generators?"""
+    y = tuple(int(c) for c in y)
+    if any(c < 0 for c in y):
+        return False
+    return y in _reachable([tuple(int(c) for c in g) for g in gens], y)
 
 
 def naive_minimal_generators(
@@ -87,17 +93,17 @@ def naive_faces(gens: Iterable[Sequence[int]],
 
     The subset F of coordinates (bit j for coordinate j) is a face when
     y - D * sum over F of e_j is still an N-combination of the generators.
+    Each such point lies below y, so one DP up to y answers them all.
     """
     gs = [tuple(int(c) for c in g) for g in gens]
     y = tuple(int(c) for c in y)
-    if not naive_member(gs, y):
+    below = _reachable(gs, y) if min(y) >= 0 else set()
+    if y not in below:
         raise PreconditionError(f"{y} is not in the semigroup")
     D = max(sum(g) for g in gs)
-    faces = set()
-    for mask in range(1 << len(y)):
-        z = [c - D * (mask >> j & 1) for j, c in enumerate(y)]
-        if naive_member(gs, z):
-            faces.add(mask)
+    faces = {mask for mask in range(1 << len(y))
+             if tuple(c - D * (mask >> j & 1)
+                      for j, c in enumerate(y)) in below}
     # translation by D*e_j stays in the semigroup, so the family must be
     # downward closed
     for f in faces:

@@ -1,4 +1,3 @@
-import contextlib
 import random
 
 import numpy as np
@@ -224,23 +223,6 @@ def check_production_tables(A, s):
     assert tables.tolist() == level_tables(A, s, pts)[1].tolist(), (A, s)
 
 
-@contextlib.contextmanager
-def cached_naive_member():
-    """``oracle.naive_member`` answering each query once: a slice's
-    faces ask the same points many times."""
-    cache = {}
-
-    def member(gens, y, naive_member=oracle.naive_member):
-        key = (tuple(map(tuple, gens)), tuple(y))
-        if key not in cache:
-            cache[key] = naive_member(gens, y)
-        return cache[key]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "naive_member", member)
-        yield
-
-
 class TestFaceComplexes:
     def test_quartic_witness_is_the_empty_complex(self, quartic):
         faces = t_faces(quartic, (4, 2, 2))
@@ -330,9 +312,8 @@ class TestFaceComplexes:
         rows = sorted(naive_slice_points(A.d, s * A.D, A.e))
         pts, tables = level_tables(A, s, rows)
         assert pts.tolist() == [list(p) for p in rows]
-        with cached_naive_member():
-            for row, t in zip(rows, tables.tolist()):
-                assert t == naive_table(A, s, row), (A, s, row)
+        for row, t in zip(rows, tables.tolist()):
+            assert t == naive_table(A, s, row), (A, s, row)
         check_production_tables(A, s)
 
     def test_oracle_recheck(self, even_sextic):

@@ -1,5 +1,4 @@
 import gc
-import math
 import random
 import tracemalloc
 import weakref
@@ -108,6 +107,20 @@ class TestSimplexSlice:
             slice_size(d, s * D, e) for s in range(top + 1)]
         assert sl._last[-1] + 1 == sl.size
 
+    @given(st.integers(1, 4), st.integers(2, 6), st.integers(1, 3),
+           st.sampled_from(["1", "2", "D"]))
+    @settings(max_examples=60, deadline=None)
+    def test_shell_is_the_slice_minus_the_one_below(self, d, D, s, e):
+        # in rank order, so consecutive ranks of slice(s) from
+        # |slice(s-1)| on
+        e = D if e == "D" else int(e)
+        shell = lattice._shell(d, D, e, s, lattice.DEFAULT_MAX_SLICE_SIZE)
+        assert set(map(tuple, shell.tolist())) == (
+            naive_slice_points(d, s * D, e)
+            - naive_slice_points(d, (s - 1) * D, e))
+        assert SimplexSlice(d, D, s, e).rank_array(shell).tolist() == list(
+            range(slice_size(d, (s - 1) * D, e), slice_size(d, s * D, e)))
+
     @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 3),
            st.sampled_from(["1", "2", "D"]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -201,11 +214,10 @@ class TestGeneratorSet:
         assert held < 10 * 2**20
         assert A._built == 150
 
-    def test_a_set_makes_log_many_rank_tables(self, monkeypatch):
-        # a request makes one slice, of level min(s, ceil(d(D-1)/D)), to
-        # draw the residues of the levels it builds, and none once they
-        # are drawn: far fewer than the ceil(log2 n) + 1 tables that n
-        # built levels may take
+    def test_builds_up_to_L0_make_one_shell_slice_each(self, monkeypatch):
+        # a build of level s >= 1 unranks its new shell for the residues
+        # while (s-1)*D < d(D-1), so up to L0 = ceil(d(D-1)/D) = 3 here;
+        # no build above L0, nor a request that builds nothing, makes one
         made = []
 
         class Counted(SimplexSlice):
@@ -216,11 +228,17 @@ class TestGeneratorSet:
         monkeypatch.setattr(lattice, "SimplexSlice", Counted)
         A = minimal_smooth(3, 6)
         A.level(1)
+        assert made == [1]
+        A.level(0)
+        A.level(1)
+        assert made == [1]
         A.level(30)
         n = A._built + 1
         assert A.stable_level == A._built == 13
-        assert made == [1, 3]
-        assert len(made) <= math.ceil(math.log2(n)) + 1
+        assert made == [1, 2, 3]
+        for s in (0, 3, 13, 30, 1000):
+            A.level(s)
+        assert made == [1, 2, 3]
         assert [A.level(s).size for s in range(n)] == [
             slice_size(3, 6 * s) for s in range(n)]
 
@@ -481,8 +499,8 @@ class TestAperyRecord:
 
     def test_cap_precedes_any_allocation(self):
         # slice(1) holds 4 points over 20001 norms: level 0 answers, and
-        # level 1 is refused before a table or a residue grid of D^d
-        # entries is made
+        # level 1 is refused before a table or a shell of its slice is
+        # made
         A = GeneratorSet(2, [(0, 0), (20000, 0), (0, 20000)],
                          max_slice_size=100)
         tracemalloc.start()

@@ -29,8 +29,8 @@ def package_imports(source: str) -> set[str]:
 
 
 #: The slice-rank machinery of ``lattice``, which no other module may use.
-RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_apery", "_gaps",
-              "_filled", "_stable"}
+RANK_NAMES = {"SimplexSlice", "rank_array", "unrank", "_shell", "_apery",
+              "_gaps", "_filled", "_stable"}
 
 
 def rank_uses(source: str) -> set[str]:
